@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import abc
 import random
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -31,7 +32,14 @@ from repro.crypto.smc.comparison import secure_within_threshold
 from repro.crypto.smc.euclidean import secure_squared_distance
 from repro.crypto.smc.hamming import secure_equality
 from repro.data.schema import Record, Schema
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
+from repro.linkage.columns import (
+    BlockLease,
+    RecordColumns,
+    check_leases,
+    lease_shape,
+    shared_codes,
+)
 from repro.linkage.distances import MatchRule
 from repro.obs import NOOP_TELEMETRY, Telemetry
 
@@ -76,37 +84,50 @@ class SMCOracle(abc.ABC):
     def compare(self, left: Record, right: Record) -> bool:
         """True when the pair matches under the decision rule ``dr``."""
         self.invocations += 1
-        return self._compare(left, right)
+        return self._compare(self.bound.project(left), self.bound.project(right))
 
     @abc.abstractmethod
-    def _compare(self, left: Record, right: Record) -> bool:
-        """Backend-specific comparison."""
+    def _compare(self, left_values: tuple, right_values: tuple) -> bool:
+        """Backend-specific comparison of two rule-ordered value tuples."""
 
     def compare_block(
         self,
-        left_records: list[Record],
-        right_records: list[Record],
-        take: int,
-    ) -> list[tuple[int, int]]:
-        """Compare the first *take* pairs of a block in row-major order.
+        left: RecordColumns,
+        right: RecordColumns,
+        leases: Sequence[BlockLease],
+    ) -> list[list[tuple[int, int]]]:
+        """Compare the first ``take`` pairs of each lease in row-major order.
 
-        Returns the matching ``(left_offset, right_offset)`` positions.
-        The base implementation simply loops over :meth:`compare`; the
-        counting backend overrides it with a vectorized path. Both charge
-        exactly *take* invocations, so the cost model is unaffected.
+        Returns, per lease, the matching ``(left_offset, right_offset)``
+        positions within the lease's rows, in row-major order. The base
+        implementation runs :meth:`_compare` pair by pair on the original
+        values; the counting backend overrides it with a vectorized path.
+        Both charge exactly ``take`` invocations per lease, so the cost
+        model is unaffected. A take outside ``1..`` the class pair's size
+        raises :class:`ProtocolError` before any pair is compared.
         """
-        matches = []
-        remaining = take
-        for left_offset, left_record in enumerate(left_records):
-            if remaining <= 0:
-                break
-            for right_offset, right_record in enumerate(right_records):
-                if remaining <= 0:
-                    break
-                remaining -= 1
-                if self.compare(left_record, right_record):
-                    matches.append((left_offset, right_offset))
-        return matches
+        check_leases(leases)
+        left_positions = left.positions(self.rule.names)
+        right_positions = right.positions(self.rule.names)
+        results = []
+        for lease in leases:
+            rows, columns, remainder = lease_shape(lease)
+            right_values = [
+                right.values(row, right_positions)
+                for row in lease.right_rows[:columns]
+            ]
+            matches = []
+            for left_offset in range(rows):
+                left_values = left.values(
+                    lease.left_rows[left_offset], left_positions
+                )
+                stop = remainder if remainder and left_offset == rows - 1 else columns
+                for right_offset in range(stop):
+                    self.invocations += 1
+                    if self._compare(left_values, right_values[right_offset]):
+                        matches.append((left_offset, right_offset))
+            results.append(matches)
+        return results
 
     def reset(self) -> None:
         """Zero the cost counters (e.g. between sweep points).
@@ -142,55 +163,92 @@ class CountingPlaintextOracle(SMCOracle):
             or attribute.is_string
             or attribute.threshold < 1
         )
+        self._projected = rule.bind(schema.project(rule.names))
+        self._scalar = any(
+            attribute.is_string and attribute.threshold >= 1 for attribute in rule
+        )
+        #: (left, right, columns) of the last column pair compared, so
+        #: one-lease-at-a-time callers align the two sides only once.
+        self._aligned: tuple | None = None
 
-    def _compare(self, left: Record, right: Record) -> bool:
+    def _compare(self, left_values: tuple, right_values: tuple) -> bool:
         self.attribute_comparisons += self._billable
-        return self.bound.matches(left, right)
+        return self._projected.matches(left_values, right_values)
 
-    def compare_block(self, left_records, right_records, take):
-        """Vectorized row-major block comparison (numpy broadcasting).
+    def compare_block(self, left, right, leases):
+        """Vectorized row-major lease comparison (numpy broadcasting).
 
         Rules containing an edit-distance attribute with a real budget
         fall back to the scalar loop (edit distance does not vectorize);
-        everything else evaluates the whole block as boolean matrices.
-        Billing is identical to *take* scalar invocations.
+        everything else evaluates each lease as boolean matrices over the
+        ``float64`` columns and the shared categorical codes. Billing is
+        identical to ``take`` scalar invocations per lease.
         """
-        if any(
-            attribute.is_string and attribute.threshold >= 1
-            for attribute in self.rule
+        if self._scalar:
+            return super().compare_block(left, right, leases)
+        check_leases(leases)
+        columns = self._lease_columns(left, right)
+        results = []
+        for lease in leases:
+            rows, width, remainder = lease_shape(lease)
+            left_rows = lease.left_rows[:rows]
+            right_rows = lease.right_rows[:width]
+            matrix = np.ones((rows, width), dtype=bool)
+            for continuous, left_column, right_column, threshold in columns:
+                left_values = left_column[left_rows][:, None]
+                right_values = right_column[right_rows][None, :]
+                if continuous:
+                    matrix &= np.abs(left_values - right_values) <= threshold
+                else:
+                    matrix &= left_values == right_values
+            if remainder:
+                matrix[-1, remainder:] = False
+            self.invocations += lease.take
+            self.attribute_comparisons += lease.take * self._billable
+            rows_idx, cols_idx = np.nonzero(matrix)
+            results.append(list(zip(rows_idx.tolist(), cols_idx.tolist())))
+        return results
+
+    def _lease_columns(self, left: RecordColumns, right: RecordColumns):
+        """``(continuous, left, right, threshold)`` per constraining attribute.
+
+        Categorical columns come back as codes in one vocabulary covering
+        both sides; loose Hamming thresholds (>= 1) never constrain and are
+        left out.
+        """
+        aligned = self._aligned
+        if aligned is not None and aligned[0] is left and aligned[1] is right:
+            return aligned[2]
+        left_positions = left.positions(self.rule.names)
+        right_positions = right.positions(self.rule.names)
+        columns = []
+        for attribute, left_position, right_position in zip(
+            self.rule, left_positions, right_positions
         ):
-            return super().compare_block(left_records, right_records, take)
-        right_count = len(right_records)
-        if take <= 0 or right_count == 0 or not left_records:
-            return []
-        full_rows, remainder = divmod(take, right_count)
-        rows = min(full_rows + (1 if remainder else 0), len(left_records))
-        matches_matrix = np.ones((rows, right_count), dtype=bool)
-        for attribute, position in zip(self.rule, self.bound.positions):
-            left_column = [
-                left_records[row][position] for row in range(rows)
-            ]
-            right_column = [record[position] for record in right_records]
-            if attribute.is_continuous:
-                left_values = np.asarray(left_column, dtype=float)[:, None]
-                right_values = np.asarray(right_column, dtype=float)[None, :]
-                within = (
-                    np.abs(left_values - right_values)
-                    <= attribute.effective_threshold
+            continuous = attribute.is_continuous
+            if continuous != left.is_continuous(left_position) or (
+                continuous != right.is_continuous(right_position)
+            ):
+                raise ConfigurationError(
+                    f"attribute {attribute.name!r} is encoded with a "
+                    "different kind than the match rule expects"
+                )
+            if continuous:
+                columns.append(
+                    (
+                        True,
+                        left.arrays[left_position],
+                        right.arrays[right_position],
+                        attribute.effective_threshold,
+                    )
                 )
             elif attribute.threshold < 1:
-                left_values = np.asarray(left_column, dtype=object)[:, None]
-                right_values = np.asarray(right_column, dtype=object)[None, :]
-                within = left_values == right_values
-            else:
-                continue  # loose Hamming threshold never constrains
-            matches_matrix &= within
-        if remainder and rows == full_rows + 1:
-            matches_matrix[-1, remainder:] = False
-        self.invocations += take
-        self.attribute_comparisons += take * self._billable
-        rows_idx, cols_idx = np.nonzero(matches_matrix)
-        return list(zip(rows_idx.tolist(), cols_idx.tolist()))
+                left_codes, right_codes = shared_codes(
+                    left, right, left_position, right_position
+                )
+                columns.append((False, left_codes, right_codes, None))
+        self._aligned = (left, right, columns)
+        return columns
 
 
 class PaillierSMCOracle(SMCOracle):
@@ -242,10 +300,10 @@ class PaillierSMCOracle(SMCOracle):
             telemetry if telemetry.enabled else None
         )
 
-    def _compare(self, left: Record, right: Record) -> bool:
-        for attribute, position in zip(self.rule, self.bound.positions):
-            left_value = left[position]
-            right_value = right[position]
+    def _compare(self, left_values: tuple, right_values: tuple) -> bool:
+        for attribute, left_value, right_value in zip(
+            self.rule, left_values, right_values
+        ):
             if attribute.is_continuous:
                 self.attribute_comparisons += 1
                 threshold = attribute.effective_threshold

@@ -42,14 +42,13 @@ from repro.linkage.strategies import (
     SMCObservation,
 )
 from repro.obs import NOOP_TELEMETRY, Telemetry
-from repro.pipeline import Pipeline, compare_class_pair, validate_executor, validate_shards
+from repro.pipeline import Pipeline, validate_executor, validate_shards
 
 __all__ = [
     "HybridLinkage",
     "LinkageConfig",
     "LinkageResult",
     "OracleFactory",
-    "compare_class_pair",
 ]
 
 OracleFactory = Callable[[MatchRule, Schema], SMCOracle]

@@ -4,8 +4,9 @@ The design invariant: the decision logic is :class:`repro.protocol
 .QueryingParty`, byte for byte the same code the in-process simulation
 runs. Only the *bridge* is remote — :class:`RemoteSMCBridge` implements
 the same ``compare_many``/``invocations`` surface as
-:class:`repro.protocol.SMCBridge`, shipping pair batches to the holder
-that plays the bridge role. That is what makes the networked
+:class:`repro.protocol.SMCBridge`, shipping batches of budget leases to
+the holder that plays the bridge role and getting back each lease's
+matching offsets. That is what makes the networked
 :class:`~repro.protocol.ProtocolOutcome` bit-identical to the simulated
 one (pinned by ``tests/test_net_e2e.py``).
 
@@ -40,9 +41,10 @@ from repro.net.transport import (
     open_framed_connection,
 )
 from repro.net.wire import (
+    decode_lease_matches,
     decode_view,
     encode_handle,
-    encode_handle_pairs,
+    encode_leases,
     encode_rule,
     hello_message,
     validate_welcome,
@@ -50,14 +52,16 @@ from repro.net.wire import (
 from repro.obs import NOOP_TELEMETRY, Telemetry
 from repro.protocol import (
     Handle,
+    Lease,
     ProtocolOutcome,
     PublishedView,
     QueryingParty,
     verified_match_handles,
 )
 
-#: Handle pairs per ``smc_batch`` frame. Small enough to keep frames far
-#: below the limit, large enough to amortize round trips.
+#: Budget leases per ``smc_batch`` frame. A frame's holder-link fetch and
+#: result grow with its leases' rows and matches, so this keeps frames far
+#: below the limit while amortizing round trips.
 DEFAULT_BATCH_SIZE = 256
 
 #: Resume attempts per batch before the run is declared failed.
@@ -205,7 +209,8 @@ class RemoteSMCBridge:
     """Drop-in for :class:`repro.protocol.SMCBridge` over a network link.
 
     The bridge-side holder (alice) owns the oracle; this object ships
-    handle-pair batches, tracks the session state machine, and resumes
+    lease batches, checks each lease's matching offsets against the
+    published class sizes, tracks the session state machine, and resumes
     after drops. ``invocations`` mirrors the server's cumulative count,
     so the querying party's cost accounting is the server's ground truth.
     """
@@ -215,6 +220,8 @@ class RemoteSMCBridge:
         link: PartyLink,
         peer: RemoteParty,
         rule: MatchRule,
+        left_view: PublishedView,
+        right_view: PublishedView,
         *,
         session_id: str | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
@@ -225,6 +232,8 @@ class RemoteSMCBridge:
         self._link = link
         self._peer = peer
         self._rule_wire = encode_rule(rule)
+        self._left_sizes = {c.class_id: c.size for c in left_view.classes}
+        self._right_sizes = {c.class_id: c.size for c in right_view.classes}
         self._batch_size = batch_size
         self._telemetry = telemetry
         self.session_id = session_id or f"smc-{uuid.uuid4().hex[:12]}"
@@ -258,23 +267,36 @@ class RemoteSMCBridge:
             self._fsm.to(SessionState.OPEN)
         return self
 
-    def compare(self, left: Handle, right: Handle) -> bool:
-        """Single-pair convenience; one network round trip."""
-        return self.compare_many([(left, right)])[0]
-
     def compare_many(
-        self, pairs: list[tuple[Handle, Handle]]
-    ) -> list[bool]:
-        """Compare a batch of handle pairs remotely, resuming on drops."""
-        verdicts: list[bool] = []
-        for start in range(0, len(pairs), self._batch_size):
-            chunk = pairs[start : start + self._batch_size]
-            verdicts.extend(self._send_batch(chunk))
-        return verdicts
+        self, leases: list[Lease]
+    ) -> list[list[tuple[int, int]]]:
+        """Run *leases* remotely, ``batch_size`` per frame, resuming on drops.
 
-    def _send_batch(
-        self, pairs: list[tuple[Handle, Handle]]
-    ) -> list[bool]:
+        Returns, per lease, its matching ``(left_offset, right_offset)``
+        pairs in row-major order, as :meth:`repro.protocol.SMCBridge
+        .compare_many` does.
+        """
+        results: list[list[tuple[int, int]]] = []
+        for start in range(0, len(leases), self._batch_size):
+            results.extend(
+                self._send_batch(leases[start : start + self._batch_size])
+            )
+        return results
+
+    def _send_batch(self, leases: list[Lease]) -> list[list[tuple[int, int]]]:
+        try:
+            shapes = [
+                (
+                    self._left_sizes[lease.left_class],
+                    self._right_sizes[lease.right_class],
+                )
+                for lease in leases
+            ]
+        except KeyError as error:
+            raise ProtocolError(
+                f"lease names class {error.args[0]}, which is not in the "
+                "published views"
+            ) from None
         self._fsm.require(SessionState.OPEN, SessionState.IN_FLIGHT)
         if self._fsm.state is SessionState.OPEN:
             self._fsm.to(SessionState.IN_FLIGHT)
@@ -283,7 +305,7 @@ class RemoteSMCBridge:
             "type": "smc_batch",
             "session": self.session_id,
             "seq": self._seq,
-            "pairs": encode_handle_pairs(pairs),
+            "leases": encode_leases(leases),
         }
         for attempt in range(MAX_RESUME_ATTEMPTS):
             try:
@@ -297,29 +319,25 @@ class RemoteSMCBridge:
                     self.open()  # resumed: server replays from its ledger
                     self._fsm.to(SessionState.IN_FLIGHT)
                 continue
-            return self._accept_result(reply, len(pairs))
+            return self._accept_result(reply, leases, shapes)
         raise NetError(
             f"session {self.session_id!r} could not deliver batch "
             f"{self._seq} after {MAX_RESUME_ATTEMPTS} resume attempts"
         )
 
-    def _accept_result(self, reply: dict, expected: int) -> list[bool]:
+    def _accept_result(
+        self, reply: dict, leases: list[Lease], shapes
+    ) -> list[list[tuple[int, int]]]:
         if reply.get("type") != "smc_result":
             raise ProtocolError(
                 f"expected smc_result, got {reply.get('type')!r}"
             )
-        verdicts = reply.get("verdicts")
-        if not isinstance(verdicts, list) or len(verdicts) != expected:
-            raise WireError(
-                f"smc_result carries {len(verdicts) if isinstance(verdicts, list) else 'no'} "
-                f"verdicts for a batch of {expected}"
-            )
-        for bit in verdicts:
-            if bit not in (0, 1):
-                raise WireError(f"verdict {bit!r} is not a bit")
+        matches = decode_lease_matches(reply.get("matches"), leases, shapes)
         self._absorb_costs(reply)
-        self._telemetry.histogram("net.batch_pairs").observe(expected)
-        return [bool(bit) for bit in verdicts]
+        self._telemetry.histogram("net.batch_pairs").observe(
+            sum(lease.take for lease in leases)
+        )
+        return matches
 
     def _absorb_costs(self, reply: dict) -> None:
         """Mirror the server's cumulative cost counters locally."""
@@ -434,8 +452,8 @@ class QueryingPartyClient:
         self.heuristic = heuristic
         self.claim_leftovers = claim_leftovers
         #: Execution plan forwarded to :class:`repro.protocol.QueryingParty`
-        #: — shard-parallel blocking, and shards mapped onto SMC session
-        #: batches. The remote outcome is identical for every plan.
+        #: for its shard-parallel blocking. The remote outcome is identical
+        #: for every plan.
         self.executor = executor
         self.shards = shards
         self.batch_size = batch_size
@@ -472,6 +490,8 @@ class QueryingPartyClient:
                     alice_link,
                     self.bob,
                     self.rule,
+                    left_view,
+                    right_view,
                     batch_size=self.batch_size,
                     telemetry=self.telemetry,
                 ).open()

@@ -1,6 +1,6 @@
 """SMC session state machines and the server-side batch ledger.
 
-An SMC phase is a sequence of numbered pair batches. Both ends track the
+An SMC phase is a sequence of numbered lease batches. Both ends track the
 session through an explicit state machine
 (:class:`SessionStateMachine`), and the server keeps a bounded ledger of
 recently answered batches (:class:`BatchLedger`) so that a batch replayed
@@ -94,7 +94,8 @@ class BatchRecord:
     """One answered batch, cached verbatim for replay."""
 
     seq: int
-    verdicts: tuple[int, ...]
+    #: Per lease: the matching (left_offset, right_offset) pairs.
+    matches: tuple[tuple[tuple[int, int], ...], ...]
     invocations: int
     attribute_comparisons: int
     peer_wire_bytes: int

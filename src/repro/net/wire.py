@@ -20,7 +20,14 @@ Boundary artifacts and their encodings:
   :class:`repro.linkage.distances.MatchRule` over lightweight
   :class:`WireMatchAttribute` stand-ins, which preserve every quantity
   the SMC oracles consult (hierarchies themselves never cross the wire);
-- *handles* are ``[class_id, offset]`` integer pairs;
+- *handles* are ``[class_id, offset]`` integer pairs (the final
+  ``resolve`` step);
+- *budget leases* are ``[left class_id, right class_id, take]`` integer
+  triples, and a lease's result is its matching ``[left_offset,
+  right_offset]`` pairs in row-major order — validated against the
+  lease's take and its classes' published sizes;
+- *holder-link fetches* name ``[class_id, count]`` pairs and come back as
+  the first ``min(count, class size)`` record projections of each class;
 - *Paillier ciphertexts* are hex strings (big-int safe at any key size)
   tagged with the public modulus.
 
@@ -39,13 +46,13 @@ from repro.crypto.paillier import EncryptedNumber, PaillierPublicKey
 from repro.data.vgh import Interval
 from repro.errors import WireError
 from repro.linkage.distances import MatchRule
-from repro.protocol import Handle, PublishedClass, PublishedView
+from repro.protocol import Handle, Lease, PublishedClass, PublishedView
 
 #: Protocol identifier sent in every handshake.
 PROTOCOL_NAME = "repro.net"
 
 #: Current wire-format version; bumped on incompatible changes.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Frame header: big-endian unsigned payload length.
 FRAME_HEADER = struct.Struct(">I")
@@ -260,20 +267,108 @@ def decode_handle(obj) -> Handle:
     return (class_id, offset)
 
 
-def encode_handle_pairs(pairs) -> list:
-    """Encode a batch of ``(left_handle, right_handle)`` pairs."""
-    return [[encode_handle(left), encode_handle(right)] for left, right in pairs]
+def encode_leases(leases) -> list:
+    """Encode a batch of budget leases."""
+    return [[lease[0], lease[1], lease[2]] for lease in leases]
 
 
-def decode_handle_pairs(obj) -> list[tuple[Handle, Handle]]:
-    """Decode and validate a batch of handle pairs."""
-    pairs = []
-    for entry in _expect_list(obj, "handle pairs"):
-        item = _expect_list(entry, "handle pair")
+def decode_leases(obj) -> list[Lease]:
+    """Decode and validate a batch of budget leases."""
+    leases = []
+    for entry in _expect_list(obj, "leases"):
+        item = _expect_list(entry, "lease")
+        if len(item) != 3:
+            _fail(
+                "lease must be [left_class, right_class, take], "
+                f"got {len(item)} items"
+            )
+        leases.append(
+            Lease(
+                _expect_int(item[0], "lease left class_id", minimum=0),
+                _expect_int(item[1], "lease right class_id", minimum=0),
+                _expect_int(item[2], "lease take", minimum=1),
+            )
+        )
+    return leases
+
+
+def encode_lease_matches(matches) -> list:
+    """Encode per-lease matching ``(left_offset, right_offset)`` lists."""
+    return [[[left, right] for left, right in offsets] for offsets in matches]
+
+
+def decode_lease_matches(
+    obj, leases, shapes
+) -> list[list[tuple[int, int]]]:
+    """Decode per-lease matches, checking each against its lease.
+
+    *shapes* holds ``(left class size, right class size)`` per lease, as
+    published. Every offset must fall inside its classes and among the
+    lease's first ``take`` pairs, and a lease's offsets must be strictly
+    increasing in row-major order (so there are never more than ``take``).
+    """
+    results = _expect_list(obj, "lease matches")
+    if len(results) != len(leases):
+        _fail(f"{len(results)} lease results for {len(leases)} leases")
+    decoded = []
+    for entry, lease, (left_size, right_size) in zip(results, leases, shapes):
+        offsets = _expect_list(entry, "lease result")
+        if len(offsets) > lease.take:
+            _fail(f"{len(offsets)} matches for a lease of take {lease.take}")
+        pairs = []
+        previous = -1
+        for item in offsets:
+            pair = _expect_list(item, "matched offsets")
+            if len(pair) != 2:
+                _fail("matched offsets must be [left_offset, right_offset]")
+            left = _expect_int(pair[0], "matched left offset", minimum=0)
+            right = _expect_int(pair[1], "matched right offset", minimum=0)
+            if left >= left_size or right >= right_size:
+                _fail(f"matched offsets {pair} fall outside the class pair")
+            position = left * right_size + right
+            if position >= lease.take:
+                _fail(f"matched offsets {pair} fall outside the lease's take")
+            if position <= previous:
+                _fail("matched offsets are not in row-major order")
+            previous = position
+            pairs.append((left, right))
+        decoded.append(pairs)
+    return decoded
+
+
+def encode_class_counts(classes) -> list:
+    """Encode a holder-link fetch: ``(class_id, count)`` per class."""
+    return [[class_id, count] for class_id, count in classes]
+
+
+def decode_class_counts(obj) -> list[tuple[int, int]]:
+    """Decode and validate a holder-link fetch's class list."""
+    classes = []
+    for entry in _expect_list(obj, "fetch classes"):
+        item = _expect_list(entry, "fetch class")
         if len(item) != 2:
-            _fail("handle pair must hold exactly two handles")
-        pairs.append((decode_handle(item[0]), decode_handle(item[1])))
-    return pairs
+            _fail("fetch class must be [class_id, count]")
+        classes.append(
+            (
+                _expect_int(item[0], "fetch class_id", minimum=0),
+                _expect_int(item[1], "fetch count", minimum=1),
+            )
+        )
+    return classes
+
+
+def decode_class_rows(obj, counts, width: int) -> list[list[tuple]]:
+    """Decode a holder-link reply: per class, 1..count record projections."""
+    classes = _expect_list(obj, "fetched classes")
+    if len(classes) != len(counts):
+        _fail(f"{len(classes)} fetched classes for {len(counts)} requested")
+    decoded = []
+    for rows, count in zip(classes, counts):
+        rows = _expect_list(rows, "fetched rows")
+        if not 1 <= len(rows) <= count:
+            _fail(f"{len(rows)} fetched rows for a request of {count}")
+        decoded.append([decode_record_values(row, width) for row in rows])
+    return decoded
 
 
 # ---------------------------------------------------------------------------
@@ -544,14 +639,14 @@ _REQUEST_FIELDS: dict[str, dict] = {
     "smc_batch": {
         "session": lambda v: _expect_str(v, "session id"),
         "seq": lambda v: _expect_int(v, "batch seq", minimum=1),
-        "pairs": decode_handle_pairs,
+        "leases": decode_leases,
     },
     "smc_close": {"session": lambda v: _expect_str(v, "session id")},
     "fetch_records": {
         "names": lambda v: [
             _expect_str(n, "attribute name") for n in _expect_list(v, "names")
         ],
-        "handles": lambda v: [decode_handle(h) for h in _expect_list(v, "handles")],
+        "classes": decode_class_counts,
     },
 }
 

@@ -39,8 +39,6 @@ from .stages import (
     Stage,
     ViewBlocking,
     block_published_views,
-    compare_class_pair,
-    consume_bridge,
 )
 
 __all__ = [
@@ -61,8 +59,6 @@ __all__ = [
     "ThreadExecutor",
     "ViewBlocking",
     "block_published_views",
-    "compare_class_pair",
-    "consume_bridge",
     "resolve_executor",
     "validate_executor",
     "validate_shards",

@@ -53,7 +53,8 @@ from repro.protocol import (
 
 QIDS = ADULT_QID_ORDER[:5]
 ALLOWANCE = 0.01
-K = 16
+#: Small classes, so the allowance spans ten budget leases.
+K = 4
 
 
 @pytest.fixture(scope="module")
@@ -225,8 +226,10 @@ class TestFaultResume:
         fault = FaultInjector(FaultPlan(drop_after=6, times=2))
         alice, bob = start_servers(runtime, net_fixture, alice_fault=fault)
         try:
+            # Two leases per frame: five smc_batch frames, so both drops
+            # land on batch replies, and the first one is replayed.
             result, telemetry = run_client(
-                runtime, net_fixture, alice, bob, batch_size=32
+                runtime, net_fixture, alice, bob, batch_size=2
             )
         finally:
             stop_servers(runtime, alice, bob)
@@ -242,18 +245,20 @@ class TestFaultResume:
     def test_drop_on_close_and_resolve_replies_still_agrees(
         self, runtime, net_fixture, reference
     ):
-        """Drops can also eat the smc_close and resolve replies.
+        """Drops can also eat the smc_close reply.
 
-        With the default batch size the SMC phase is only a couple of
-        frames, so ``drop_after=6`` lands the first drop on the
-        ``smc_close`` reply and the re-armed second on the ``resolve``
-        reply — the phases whose recovery is the idempotent-retry path
-        rather than the batch ledger.
+        With five leases per frame the SMC phase is two frames, so
+        ``drop_after=6`` lands the drop on the ``smc_close`` reply; the
+        ``resolve`` request that follows finds the connection dead and
+        recovers through the idempotent-retry path rather than the batch
+        ledger.
         """
         fault = FaultInjector(FaultPlan(drop_after=6, times=2))
         alice, bob = start_servers(runtime, net_fixture, alice_fault=fault)
         try:
-            result, telemetry = run_client(runtime, net_fixture, alice, bob)
+            result, telemetry = run_client(
+                runtime, net_fixture, alice, bob, batch_size=5
+            )
         finally:
             stop_servers(runtime, alice, bob)
         expected_outcome, expected_matches = reference
@@ -329,7 +334,7 @@ class TestLiveServerStrictness:
         request = {
             "type": "fetch_records",
             "names": [QIDS[0]],
-            "handles": [[0, 0]],
+            "classes": [[0, 1]],
         }
         replies = raw_exchange(alice, [encode_frame(request)])
         assert replies[1]["type"] == "error"

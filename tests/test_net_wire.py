@@ -2,8 +2,8 @@
 
 The codec's contract has two halves. Everything the protocol can
 legitimately produce must survive an encode/decode round trip unchanged —
-checked with hypothesis over generalized values, views, handles, rules,
-and ciphertexts. And everything else — truncated, oversized, mistyped, or
+checked with hypothesis over generalized values, views, handles, budget
+leases and their matched offsets, rules, and ciphertexts. And everything else — truncated, oversized, mistyped, or
 version-skewed frames — must raise :class:`~repro.errors.WireError`
 instead of crashing or being misread.
 """
@@ -25,18 +25,23 @@ from repro.net.wire import (
     PROTOCOL_VERSION,
     WireMatchAttribute,
     decode_ciphertext,
+    decode_class_counts,
+    decode_class_rows,
     decode_frame_length,
     decode_frame_payload,
     decode_handle,
-    decode_handle_pairs,
+    decode_lease_matches,
+    decode_leases,
     decode_record_values,
     decode_rule,
     decode_value,
     decode_view,
     encode_ciphertext,
     encode_frame,
+    encode_class_counts,
     encode_handle,
-    encode_handle_pairs,
+    encode_lease_matches,
+    encode_leases,
     encode_record_values,
     encode_rule,
     encode_value,
@@ -47,7 +52,7 @@ from repro.net.wire import (
     validate_welcome,
     welcome_message,
 )
-from repro.protocol import PublishedClass, PublishedView
+from repro.protocol import Lease, PublishedClass, PublishedView
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -92,6 +97,37 @@ def views(draw):
     )
 
 
+leases = st.builds(
+    Lease,
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=10**9),
+)
+
+
+@st.composite
+def lease_results(draw):
+    """Leases with their class sizes and valid row-major matched offsets."""
+    count = draw(st.integers(min_value=0, max_value=6))
+    batch, shapes, matches = [], [], []
+    for _ in range(count):
+        left_size = draw(st.integers(min_value=1, max_value=40))
+        right_size = draw(st.integers(min_value=1, max_value=40))
+        take = draw(st.integers(min_value=1, max_value=left_size * right_size))
+        positions = sorted(
+            draw(
+                st.sets(
+                    st.integers(min_value=0, max_value=take - 1), max_size=20
+                )
+            )
+        )
+        ids = draw(st.tuples(st.integers(0, 50), st.integers(0, 50)))
+        batch.append(Lease(*ids, take))
+        shapes.append((left_size, right_size))
+        matches.append([divmod(position, right_size) for position in positions])
+    return batch, shapes, matches
+
+
 @st.composite
 def rules(draw):
     count = draw(st.integers(min_value=1, max_value=5))
@@ -126,10 +162,29 @@ class TestRoundTrips:
     def test_view_round_trip(self, view):
         assert decode_view(encode_view(view)) == view
 
-    @given(st.lists(handles, max_size=20))
-    def test_handle_pairs_round_trip(self, items):
-        pairs = list(zip(items, reversed(items)))
-        assert decode_handle_pairs(encode_handle_pairs(pairs)) == pairs
+    @given(st.lists(leases, max_size=20))
+    def test_lease_batch_round_trip(self, batch):
+        decoded = decode_leases(json.loads(json.dumps(encode_leases(batch))))
+        assert decoded == batch
+        assert all(isinstance(lease, Lease) for lease in decoded)
+
+    @given(lease_results())
+    def test_lease_matches_round_trip(self, case):
+        batch, shapes, matches = case
+        wired = json.loads(json.dumps(encode_lease_matches(matches)))
+        assert decode_lease_matches(wired, batch, shapes) == matches
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=10**6),
+                st.integers(min_value=1, max_value=10**6),
+            ),
+            max_size=10,
+        )
+    )
+    def test_class_counts_round_trip(self, classes):
+        assert decode_class_counts(encode_class_counts(classes)) == classes
 
     @given(handles)
     def test_handle_round_trip(self, handle):
@@ -277,6 +332,97 @@ class TestViewRejection:
             decode_view(view)
 
 
+class TestLeaseRejection:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {},                         # not a list
+            [[0, 1]],                   # arity
+            [[0, 1, 2, 3]],             # arity
+            [["0", 1, 2]],              # non-int left id
+            [[0, 1.0, 2]],              # non-int right id
+            [[True, 1, 2]],             # bool id
+            [[0, False, 2]],            # bool id
+            [[-1, 1, 2]],               # negative id
+            [[0, 1, 0]],                # take 0
+            [[0, 1, -5]],               # negative take
+            [[0, 1, True]],             # bool take
+        ],
+    )
+    def test_malformed_leases(self, payload):
+        with pytest.raises(WireError):
+            decode_leases(payload)
+
+    # One lease of take 7 over a 3 x 4 class pair: row-major positions
+    # 0..6, i.e. offsets (0, 0)..(1, 2).
+    LEASE = [Lease(2, 5, 7)]
+    SHAPE = [(3, 4)]
+
+    def test_good_matches(self):
+        matches = [[[0, 0], [0, 3], [1, 2]]]
+        assert decode_lease_matches(matches, self.LEASE, self.SHAPE) == [
+            [(0, 0), (0, 3), (1, 2)]
+        ]
+
+    @pytest.mark.parametrize(
+        "matches",
+        [
+            {},                             # not a list
+            [],                             # one result per lease
+            [[], []],                       # one result per lease
+            [[[0, 0, 0]]],                  # arity
+            [[[0, "1"]]],                   # non-int offset
+            [[[True, 0]]],                  # bool offset
+            [[[-1, 0]]],                    # negative offset
+            [[[0, 4]]],                     # right offset outside the class
+            [[[3, 0]]],                     # left offset outside the class
+            [[[1, 3]]],                     # position 7: past the take
+            [[[0, 2], [0, 1]]],             # not row-major
+            [[[0, 1], [0, 1]]],             # repeated
+            [[[0, i] for i in range(4)] + [[1, i] for i in range(4)]],
+        ],
+    )
+    def test_malformed_matches(self, matches):
+        with pytest.raises(WireError):
+            decode_lease_matches(matches, self.LEASE, self.SHAPE)
+
+    def test_more_offsets_than_take(self):
+        lease = [Lease(0, 0, 2)]
+        with pytest.raises(WireError, match="matches for a lease of take 2"):
+            decode_lease_matches([[[0, 0], [0, 1], [0, 2]]], lease, [(1, 3)])
+
+
+class TestHolderFetchRejection:
+    @pytest.mark.parametrize(
+        "payload",
+        [[[0]], [[0, 0]], [[-1, 3]], [[0, True]], [["0", 3]], "classes"],
+    )
+    def test_malformed_class_counts(self, payload):
+        with pytest.raises(WireError):
+            decode_class_counts(payload)
+
+    def test_good_rows(self):
+        rows = [[[39, "Private"]], [[40, "State-gov"], [41, "Private"]]]
+        assert decode_class_rows(rows, [1, 3], 2) == [
+            [(39, "Private")],
+            [(40, "State-gov"), (41, "Private")],
+        ]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[[39, "Private"]]],                        # one class short
+            [[[39, "Private"]], []],                    # no rows for a class
+            [[[39, "Private"], [40, "x"]], [[41, "y"]]],  # more than asked
+            [[[39]], [[41, "y"]]],                      # wrong row width
+            [[[39, None]], [[41, "y"]]],                # not a wire scalar
+        ],
+    )
+    def test_wrong_row_count_or_shape(self, rows):
+        with pytest.raises(WireError):
+            decode_class_rows(rows, [1, 3], 2)
+
+
 class TestRuleRejection:
     @pytest.mark.parametrize(
         "payload",
@@ -358,7 +504,7 @@ class TestRequestValidation:
                     "type": "smc_batch",
                     "session": "s",
                     "seq": 1,
-                    "pairs": [[[0, 0], [1, 1]]],
+                    "leases": [[0, 1, 12]],
                 }
             )
             == "smc_batch"
@@ -375,7 +521,7 @@ class TestRequestValidation:
     def test_bad_seq_rejected(self):
         with pytest.raises(WireError):
             validate_request(
-                {"type": "smc_batch", "session": "s", "seq": 0, "pairs": []}
+                {"type": "smc_batch", "session": "s", "seq": 0, "leases": []}
             )
 
 

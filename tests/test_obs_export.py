@@ -233,12 +233,12 @@ class TestProgressPlumbing:
 
 
 class _BoomOracle(CountingPlaintextOracle):
-    """Raises partway through the SMC loop (after the first block)."""
+    """Raises partway through the SMC loop (after the first lease)."""
 
-    def compare_block(self, left_records, right_records, take):
+    def compare_block(self, left, right, leases):
         if self.invocations > 0:
             raise RuntimeError("oracle died")
-        return super().compare_block(left_records, right_records, take)
+        return super().compare_block(left, right, leases)
 
 
 class TestExceptionSafety:

@@ -17,7 +17,7 @@ import pytest
 
 from repro.anonymize import MaxEntropyTDS
 from repro.data.hierarchies import ADULT_QID_ORDER
-from repro.errors import ConfigurationError, PipelineError, ProtocolError
+from repro.errors import ConfigurationError, PipelineError
 from repro.linkage.blocking import block
 from repro.linkage.hybrid import HybridLinkage, LinkageConfig
 from repro.pipeline import (
@@ -28,7 +28,6 @@ from repro.pipeline import (
     RunContext,
     SerialExecutor,
     ThreadExecutor,
-    consume_bridge,
     resolve_executor,
     validate_executor,
     validate_shards,
@@ -336,55 +335,6 @@ class TestProtocolParity:
             adult_rule, allowance=0.01, executor=executor, shards=shards
         ).link(left_view, right_view, SMCBridge(alice, bob, adult_rule))
         assert sharded == baseline
-
-
-class _ScriptedBridge:
-    """A fake bridge answering True for even-index pairs, recording calls."""
-
-    def __init__(self, short_batch: int | None = None):
-        self.calls: list[int] = []
-        self._short_batch = short_batch
-
-    def compare_many(self, pairs):
-        self.calls.append(len(pairs))
-        verdicts = [index % 2 == 0 for index in range(len(pairs))]
-        if self._short_batch is not None and len(self.calls) == 1:
-            return verdicts[: self._short_batch]
-        return verdicts
-
-
-class TestConsumeBridge:
-    BATCHES = [[("a", 0)] * 3, [("b", 0)] * 2, [("c", 0)] * 4, [("d", 0)] * 1]
-
-    def test_serial_path_one_call_per_batch(self):
-        bridge = _ScriptedBridge()
-        verdicts = consume_bridge(bridge, self.BATCHES, shards=1)
-        assert bridge.calls == [3, 2, 4, 1]
-        assert [len(batch) for batch in verdicts] == [3, 2, 4, 1]
-
-    def test_sharded_grouping_preserves_verdict_alignment(self):
-        serial = consume_bridge(_ScriptedBridge(), self.BATCHES, shards=1)
-        for shards in (2, 3, 8):
-            bridge = _ScriptedBridge()
-            grouped = consume_bridge(bridge, self.BATCHES, shards=shards)
-            # Fewer round trips, same per-batch verdict lists.
-            assert len(bridge.calls) <= len(self.BATCHES)
-            assert [len(batch) for batch in grouped] == [3, 2, 4, 1]
-            assert sum(bridge.calls) == sum(len(b) for b in self.BATCHES)
-            # Verdict values are positional within each *session* batch, so
-            # only the shape is comparable to the serial call pattern here;
-            # real bridges answer per pair, which the protocol parity test
-            # above pins end to end.
-            assert serial is not grouped
-
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_short_verdict_batch_rejected(self, shards):
-        bridge = _ScriptedBridge(short_batch=1)
-        with pytest.raises(ProtocolError):
-            consume_bridge(bridge, self.BATCHES, shards=shards)
-
-    def test_empty_batches(self):
-        assert consume_bridge(_ScriptedBridge(), [], shards=3) == []
 
 
 class TestLinkCliParity:

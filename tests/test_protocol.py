@@ -8,7 +8,7 @@ from repro.data.hierarchies import ADULT_QID_ORDER
 from repro.errors import ConfigurationError, ProtocolError
 from repro.linkage.ground_truth import GroundTruth
 from repro.linkage.hybrid import HybridLinkage, LinkageConfig
-from repro.protocol import DataHolder, QueryingParty, SMCBridge
+from repro.protocol import DataHolder, Lease, QueryingParty, SMCBridge
 
 QIDS = ADULT_QID_ORDER[:5]
 
@@ -44,22 +44,57 @@ class TestPublishedView:
 
 
 class TestBridge:
-    def test_compare_by_handles(self, parties, adult_rule, adult_pair):
+    def test_compare_by_lease(self, parties, adult_rule, adult_pair):
         alice, bob, left_view, right_view = parties
         bridge = SMCBridge(alice, bob, adult_rule)
         first_left = left_view.classes[0]
         first_right = right_view.classes[0]
-        verdict = bridge.compare(
-            (first_left.class_id, 0), (first_right.class_id, 0)
+        take = first_left.size * first_right.size
+        [offsets] = bridge.compare_many(
+            [Lease(first_left.class_id, first_right.class_id, take)]
         )
-        assert isinstance(verdict, bool)
-        assert bridge.invocations == 1
+        assert bridge.invocations == take
+        assert offsets == sorted(set(offsets))
+        truth = set(
+            GroundTruth(
+                adult_rule, adult_pair.left, adult_pair.right
+            ).iter_matches()
+        )
+        left_indices = alice.resolve(
+            [(first_left.class_id, offset) for offset in range(first_left.size)]
+        )
+        right_indices = bob.resolve(
+            [(first_right.class_id, offset) for offset in range(first_right.size)]
+        )
+        expected = [
+            (left_offset, right_offset)
+            for left_offset, left_index in enumerate(left_indices)
+            for right_offset, right_index in enumerate(right_indices)
+            if (left_index, right_index) in truth
+        ]
+        assert offsets == expected
 
     def test_bad_handle_rejected(self, parties, adult_rule):
-        alice, bob, *_ = parties
+        alice, bob, left_view, _ = parties
         bridge = SMCBridge(alice, bob, adult_rule)
         with pytest.raises(ProtocolError):
-            bridge.compare((999_999, 0), (0, 0))
+            bridge.compare_many([Lease(999_999, 0, 1)])
+        with pytest.raises(ProtocolError):
+            bridge.compare_many([Lease(0, 0, 1), Lease(0, -1, 1)])
+        assert bridge.invocations == 0
+        with pytest.raises(ProtocolError):
+            alice.resolve([(999_999, 0)])
+        with pytest.raises(ProtocolError):
+            alice.resolve([(0, left_view.classes[0].size)])
+
+    def test_take_larger_than_class_pair_rejected(self, parties, adult_rule):
+        alice, bob, left_view, right_view = parties
+        bridge = SMCBridge(alice, bob, adult_rule)
+        size = left_view.classes[0].size * right_view.classes[0].size
+        for take in (size + 1, 0):
+            with pytest.raises(ProtocolError):
+                bridge.compare_many([Lease(0, 0, 1), Lease(0, 0, take)])
+        assert bridge.invocations == 0
 
     def test_schema_mismatch_rejected(
         self, parties, adult_rule, toy_relations
