@@ -5,10 +5,10 @@ Two walkthroughs in one script:
 1. **The party boundary.** Alice and Bob are data holders; the researcher
    is the querying party. Alice and Bob each publish only an anonymized
    view (generalization sequences and class sizes); the researcher drives
-   blocking and the budgeted SMC step addressing records purely by
-   ``(class_id, offset)`` handles, and ends up with verified match
-   handles that each holder resolves against its own records locally.
-   No raw record ever reaches the researcher's code path.
+   blocking and spends the SMC budget as leases ``(left class_id, right
+   class_id, take)``, gets back the matching ``(class_id, offset)``
+   handles, and each holder resolves those against its own records
+   locally. No raw record ever reaches the researcher's code path.
 
 2. **Section IV's analogy, executable.** The paper frames its blocking
    step as the probabilistic matcher of Fellegi–Sunter / Gomatam et al.:
