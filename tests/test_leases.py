@@ -1,0 +1,313 @@
+"""Budget leases: the oracle kernels and the bridge against a scalar loop.
+
+A lease ``(left rows, right rows, take)`` compares the first ``take``
+record pairs of a class pair in row-major order. Every backend and the
+in-process bridge must return exactly the matches the scalar per-pair
+``BoundMatchRule.matches`` loop finds, in that loop's order, and bill
+exactly ``take`` invocations per lease.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.anonymize import MaxEntropyTDS
+from repro.crypto.smc.oracle import (
+    CountingPlaintextOracle,
+    PaillierSMCOracle,
+    SMCOracle,
+)
+from repro.data.adult import adult_schema, generate_adult
+from repro.data.hierarchies import ADULT_QID_ORDER
+from repro.data.schema import Relation
+from repro.errors import ProtocolError
+from repro.linkage.columns import BlockLease, RecordColumns
+from repro.protocol import DataHolder, Lease, SMCBridge
+
+
+def scalar_matches(rule, schema, left_records, right_records, take):
+    """The matching offsets among the first *take* pairs, one at a time."""
+    bound = rule.bind(schema)
+    matches = []
+    for position in range(take):
+        left_offset, right_offset = divmod(position, len(right_records))
+        if bound.matches(
+            left_records[left_offset], right_records[right_offset]
+        ):
+            matches.append((left_offset, right_offset))
+    return matches
+
+
+def billable(rule):
+    """Attribute comparisons a real backend runs per record pair."""
+    return sum(
+        1
+        for attribute in rule
+        if attribute.is_continuous or attribute.is_string or attribute.threshold < 1
+    )
+
+
+@pytest.fixture(scope="module")
+def adult_sides(adult_rule):
+    relation = generate_adult(120, seed=23)
+    left = relation.take(range(60))
+    right = relation.take(range(60, 120))
+    return (
+        left,
+        right,
+        RecordColumns.from_relation(left, adult_rule.names),
+        RecordColumns.from_relation(right, adult_rule.names),
+    )
+
+
+#: (left rows, right rows, take): the shapes a lease can cut from its
+#: class pair. Rows are scattered, as an anonymizer's classes are.
+LEASE_CASES = {
+    "take below the right class size": (range(3, 60, 7), range(1, 60, 5), 5),
+    "take spanning whole rows": (range(3, 60, 7), range(1, 60, 5), 36),
+    "partial last row": (range(3, 60, 7), range(1, 60, 5), 12 * 3 + 7),
+    "full class pair": (range(3, 60, 7), range(1, 60, 5), 9 * 12),
+    "single pair": ([4], [9], 1),
+    "one-record right class": (range(0, 60, 4), [33], 11),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEASE_CASES))
+def test_counting_kernel_equals_scalar_loop(case, adult_rule, adult_sides):
+    left, right, left_columns, right_columns = adult_sides
+    left_rows, right_rows, take = LEASE_CASES[case]
+    oracle = CountingPlaintextOracle(adult_rule, adult_schema())
+    [matches] = oracle.compare_block(
+        left_columns,
+        right_columns,
+        [BlockLease(np.array(left_rows), np.array(right_rows), take)],
+    )
+    expected = scalar_matches(
+        adult_rule,
+        adult_schema(),
+        [left[row] for row in left_rows],
+        [right[row] for row in right_rows],
+        take,
+    )
+    assert matches == expected
+    assert oracle.invocations == take
+    assert oracle.attribute_comparisons == take * billable(adult_rule)
+
+
+def test_several_leases_in_one_call(adult_rule, adult_sides):
+    """A batch answers per lease, in lease order, billing the sum."""
+    left, right, left_columns, right_columns = adult_sides
+    leases = [
+        BlockLease(np.array(rows_l), np.array(rows_r), take)
+        for rows_l, rows_r, take in LEASE_CASES.values()
+    ]
+    batch = CountingPlaintextOracle(adult_rule, adult_schema())
+    results = batch.compare_block(left_columns, right_columns, leases)
+    single = CountingPlaintextOracle(adult_rule, adult_schema())
+    assert results == [
+        single.compare_block(left_columns, right_columns, [lease])[0]
+        for lease in leases
+    ]
+    assert batch.invocations == single.invocations == sum(
+        lease.take for lease in leases
+    )
+
+
+def test_lease_may_carry_only_the_right_rows_it_touches(
+    adult_rule, adult_sides
+):
+    """Passing the first ``min(take, size)`` right rows changes nothing."""
+    _, __, left_columns, right_columns = adult_sides
+    left_rows = np.arange(0, 60, 3)
+    right_rows = np.arange(1, 60, 2)
+    for take in (1, 7, 29, 30, 31, 95):
+        full = CountingPlaintextOracle(adult_rule, adult_schema())
+        trimmed = CountingPlaintextOracle(adult_rule, adult_schema())
+        assert full.compare_block(
+            left_columns, right_columns, [BlockLease(left_rows, right_rows, take)]
+        ) == trimmed.compare_block(
+            left_columns,
+            right_columns,
+            [BlockLease(left_rows, right_rows[:take], take)],
+        )
+
+
+def test_values_on_one_side_only(toy_schema, toy_relations):
+    """Codes from two vocabularies are compared in one shared vocabulary.
+
+    ``9th``/``10th`` appear only on the left and ``Bachelors``/``11th``
+    only on the right; ``10th`` and ``11th`` hold the same local code on
+    their sides and ``("10th", 22)`` meets ``("11th", 22)`` in age, so
+    comparing local codes would report a false match.
+    """
+    from repro.data.hierarchies import toy_education_vgh, toy_work_hrs_vgh
+    from repro.linkage.distances import MatchAttribute, MatchRule
+
+    rule = MatchRule(
+        [
+            MatchAttribute("education", toy_education_vgh(), 0.5),
+            MatchAttribute("work_hrs", toy_work_hrs_vgh(), 0.2),
+        ]
+    )
+    left_relation, right_relation = toy_relations
+    left = RecordColumns.from_relation(left_relation, rule.names)
+    right = RecordColumns.from_relation(right_relation, rule.names)
+    assert left.vocabularies[0].index("10th") == right.vocabularies[0].index("11th")
+    rows = np.arange(6)
+    lease = BlockLease(rows, rows, 36)
+    counting = CountingPlaintextOracle(rule, toy_schema)
+    looped = CountingPlaintextOracle(rule, toy_schema)
+    expected = scalar_matches(
+        rule, toy_schema, list(left_relation), list(right_relation), 36
+    )
+    assert counting.compare_block(left, right, [lease]) == [expected]
+    assert SMCOracle.compare_block(looped, left, right, [lease]) == [expected]
+    assert (4, 4) not in expected
+
+
+CITIES = ("Oslo", "Lima", "Pune", "Kyiv", "Baku")
+
+
+@st.composite
+def lease_inputs(draw):
+    """Two toy relations over partly shared vocabularies plus one lease."""
+
+    def side(count):
+        vocabulary = st.lists(st.sampled_from(CITIES), min_size=1, unique=True)
+        cities = st.sampled_from(draw(vocabulary))
+        return [
+            (draw(cities), draw(st.integers(min_value=0, max_value=12)))
+            for _ in range(count)
+        ]
+
+    left_count = draw(st.integers(min_value=1, max_value=8))
+    right_count = draw(st.integers(min_value=1, max_value=8))
+    left_rows = draw(st.permutations(range(left_count)))
+    right_rows = draw(st.permutations(range(right_count)))
+    take = draw(st.integers(min_value=1, max_value=left_count * right_count))
+    return side(left_count), side(right_count), left_rows, right_rows, take
+
+
+@settings(max_examples=60, deadline=None)
+@given(lease_inputs(), st.sampled_from([0.0, 0.5, 1.0]))
+def test_kernel_parity_property(case, city_threshold):
+    from repro.data.schema import Attribute, Schema
+    from repro.data.vgh import CategoricalHierarchy, IntervalHierarchy
+    from repro.linkage.distances import MatchAttribute, MatchRule
+
+    left_values, right_values, left_rows, right_rows, take = case
+    schema = Schema([Attribute.categorical("city"), Attribute.continuous("age")])
+    rule = MatchRule(
+        [
+            MatchAttribute(
+                "city", CategoricalHierarchy("city", {"ANY": list(CITIES)}),
+                city_threshold,
+            ),
+            MatchAttribute(
+                "age", IntervalHierarchy.from_tree("age", (0, 20)), 0.1
+            ),
+        ]
+    )
+    left_relation = Relation(schema, left_values)
+    right_relation = Relation(schema, right_values)
+    left = RecordColumns.from_relation(left_relation, rule.names)
+    right = RecordColumns.from_relation(right_relation, rule.names)
+    lease = BlockLease(np.array(left_rows), np.array(right_rows), take)
+    expected = scalar_matches(
+        rule,
+        schema,
+        [left_values[row] for row in left_rows],
+        [right_values[row] for row in right_rows],
+        take,
+    )
+    for oracle in (
+        CountingPlaintextOracle(rule, schema),
+        _Looping(rule, schema),
+    ):
+        assert oracle.compare_block(left, right, [lease]) == [expected]
+        assert oracle.invocations == take
+
+
+class _Looping(CountingPlaintextOracle):
+    """The counting backend forced onto the base per-pair loop."""
+
+    compare_block = SMCOracle.compare_block
+
+
+def test_paillier_matches_counting_on_the_same_leases(adult_rule, adult_sides):
+    _, __, left_columns, right_columns = adult_sides
+    leases = [
+        BlockLease(np.arange(0, 60, 7), np.arange(2, 60, 9), 4),
+        BlockLease(np.arange(5, 60, 11), np.arange(0, 60, 13), 7),
+        BlockLease(np.array([12, 40]), np.array([12, 40, 41]), 6),
+    ]
+    paillier = PaillierSMCOracle(adult_rule, adult_schema(), key_bits=256, rng=5)
+    counting = CountingPlaintextOracle(adult_rule, adult_schema())
+    assert paillier.compare_block(
+        left_columns, right_columns, leases
+    ) == counting.compare_block(left_columns, right_columns, leases)
+    assert paillier.invocations == counting.invocations == 17
+
+
+@pytest.mark.parametrize("take", [0, -1, 9 * 12 + 1])
+def test_take_outside_the_class_pair_rejected(take, adult_rule, adult_sides):
+    _, __, left_columns, right_columns = adult_sides
+    left_rows, right_rows, _ = LEASE_CASES["full class pair"]
+    good = BlockLease(np.array(left_rows), np.array(right_rows), 1)
+    bad = BlockLease(np.array(left_rows), np.array(right_rows), take)
+    for oracle in (
+        CountingPlaintextOracle(adult_rule, adult_schema()),
+        _Looping(adult_rule, adult_schema()),
+    ):
+        with pytest.raises(ProtocolError):
+            oracle.compare_block(left_columns, right_columns, [good, bad])
+        assert oracle.invocations == 0
+
+
+class TestBridgeParity:
+    @pytest.fixture(scope="class")
+    def holders(self, adult_pair, adult_hierarchy_catalog):
+        qids = ADULT_QID_ORDER[:5]
+        alice = DataHolder("alice", adult_pair.left)
+        bob = DataHolder("bob", adult_pair.right)
+        left_view = alice.publish(MaxEntropyTDS(adult_hierarchy_catalog), qids, 8)
+        right_view = bob.publish(MaxEntropyTDS(adult_hierarchy_catalog), qids, 8)
+        return alice, bob, left_view, right_view
+
+    def test_compare_many_equals_scalar_loop_over_handles(
+        self, holders, adult_rule, adult_pair
+    ):
+        alice, bob, left_view, right_view = holders
+        leases = []
+        for left_class, right_class in zip(
+            left_view.classes[:6], right_view.classes[3:9]
+        ):
+            size = left_class.size * right_class.size
+            for take in sorted({1, right_class.size - 1 or 1, size // 2 + 1, size}):
+                leases.append(Lease(left_class.class_id, right_class.class_id, take))
+        bridge = SMCBridge(alice, bob, adult_rule)
+        results = bridge.compare_many(leases)
+        assert len(results) == len(leases)
+        schema = adult_pair.left.schema
+        for lease, offsets in zip(leases, results):
+            left_size = left_view.classes[lease.left_class].size
+            right_size = right_view.classes[lease.right_class].size
+            left_records = [
+                adult_pair.left[index]
+                for index in alice.resolve(
+                    [(lease.left_class, offset) for offset in range(left_size)]
+                )
+            ]
+            right_records = [
+                adult_pair.right[index]
+                for index in bob.resolve(
+                    [(lease.right_class, offset) for offset in range(right_size)]
+                )
+            ]
+            assert offsets == scalar_matches(
+                adult_rule, schema, left_records, right_records, lease.take
+            )
+        takes = sum(lease.take for lease in leases)
+        assert bridge.invocations == takes
+        assert bridge.oracle.attribute_comparisons == takes * billable(adult_rule)
