@@ -6,13 +6,14 @@ between genuinely separate parties connected by TCP:
 
 - :mod:`repro.net.wire` — length-prefixed framing and a strict, versioned
   JSON wire codec for every boundary artifact (published views, match
-  rules, ``(class_id, offset)`` handles, Paillier ciphertexts);
+  rules, budget leases and their matched offsets, ``(class_id, offset)``
+  handles, Paillier ciphertexts);
 - :mod:`repro.net.transport` — asyncio framed connections with
   per-message timeouts, measured byte accounting, fault injection, and
   bounded exponential-backoff reconnects;
 - :mod:`repro.net.session` — the SMC session state machines (client and
   server side) that let an interrupted comparison phase resume from the
-  last acknowledged pair batch;
+  last acknowledged lease batch;
 - :mod:`repro.net.server` — :class:`DataHolderServer`, the party runner
   for alice and bob;
 - :mod:`repro.net.client` — :class:`QueryingPartyClient` and
