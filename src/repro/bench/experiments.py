@@ -148,8 +148,17 @@ def smc_timing(
     The paper (2.8 GHz PC, 2008): 0.43 s per continuous attribute at
     1024-bit keys; anonymization 2.02/2.03 s; blocking 1.35 s; all
     non-crypto work together ≈ 13 secure comparisons.
+
+    Next to the full protocol, the online row times the blinded threshold
+    comparison once Alice's ciphertexts exist — Bob's steps plus the
+    querying party's decryption — which is what each further pair of a
+    left record costs inside a budget lease.
     """
-    from repro.crypto.smc.euclidean import secure_squared_distance
+    from repro.crypto.smc.comparison import (
+        default_magnitude_bound,
+        finish_within_threshold,
+    )
+    from repro.crypto.smc.euclidean import alice_encrypts, secure_squared_distance
     from repro.crypto.paillier import PaillierKeyPair
     from repro.crypto.smc.channel import SMCSession
 
@@ -164,6 +173,20 @@ def smc_timing(
         for sample in range(samples):
             secure_squared_distance(session, 40.0 + sample, 37.0)
     distance_seconds = dist_span.duration / samples
+    # Section III's Work-Hrs example threshold (theta * normFactor = 19.6).
+    alice_value, threshold = 40.0, 19.6
+    alice = alice_encrypts(session, alice_value)
+    with telemetry.span("timing.online_threshold", samples=samples) as online_span:
+        for sample in range(samples):
+            bob_value = 37.0 + sample
+            finish_within_threshold(
+                session,
+                alice,
+                bob_value,
+                threshold,
+                default_magnitude_bound(alice_value, bob_value, threshold),
+            )
+    online_seconds = online_span.duration / samples
 
     from repro.anonymize import MaxEntropyTDS
     from repro.linkage.blocking import block
@@ -181,6 +204,11 @@ def smc_timing(
     rows = (
         (f"keygen ({key_bits}-bit)", round(keygen_seconds, 4), "-"),
         ("secure distance / attribute (s)", round(distance_seconds, 4), 0.43),
+        (
+            "blinded comparison, online / pair (s)",
+            round(online_seconds, 4),
+            "-",
+        ),
         ("anonymize both sides (s)", round(anonymize_seconds, 3), 4.05),
         ("blocking step (s)", round(blocking_seconds, 3), 1.35),
         ("non-crypto ≈ N secure comparisons", round(equivalent, 1), 13),

@@ -26,8 +26,50 @@ higher cost; the blinded sign test matches the paper's cost envelope of
 
 from __future__ import annotations
 
+from repro.crypto.paillier import EncryptedNumber
 from repro.crypto.smc.channel import BOB, QUERY, SMCSession
 from repro.crypto.smc.euclidean import alice_encrypts, bob_combines
+
+
+def default_magnitude_bound(
+    alice_value: float, bob_value: float, threshold: float
+) -> float:
+    """A cap on ``|d^2 - t^2|`` on the raw scale for domain-bounded values.
+
+    ``d^2 <= (|a| + |b|)^2 <= (2 * bound)^2`` with ``bound`` the largest
+    of the operands, the threshold and 1.
+    """
+    bound = max(abs(alice_value), abs(bob_value), threshold, 1.0)
+    return 4.0 * bound * bound
+
+
+def finish_within_threshold(
+    session: SMCSession,
+    alice_ciphertexts: tuple[EncryptedNumber, EncryptedNumber],
+    bob_value: float,
+    threshold: float,
+    magnitude_bound: float,
+) -> bool:
+    """Bob's steps plus the query party's sign test, on Alice's ciphertexts.
+
+    *alice_ciphertexts* is :func:`~repro.crypto.smc.euclidean.alice_encrypts`'
+    output and may be reused across Bob's records: Bob keeps ``E(d^2)`` to
+    himself and re-randomizes only the blinded margin he forwards, once.
+    """
+    encrypted_distance = bob_combines(session, *alice_ciphertexts, bob_value)
+    codec = session.codec
+    encoded_threshold = codec.encode_square_threshold(threshold * threshold)
+    margin = encrypted_distance - encoded_threshold
+    encoded_bound = int(magnitude_bound * codec.scale * codec.scale) + 1
+    rho = session.random_blinder(encoded_bound)
+    blinded = (margin * rho).rerandomize(session.rng)
+    session.transcript.record_operation("homomorphic_add", 1)
+    session.transcript.record_operation("homomorphic_scale", 1)
+    session.transcript.record_operation("rerandomize", 1)
+    session.send_ciphertexts(BOB, QUERY, 1)
+    signed = session.private_key.decrypt_signed(blinded)
+    session.transcript.record_operation("decrypt", 1)
+    return signed <= 0
 
 
 def secure_within_threshold(
@@ -40,31 +82,19 @@ def secure_within_threshold(
 ) -> bool:
     """True when ``|alice_value - bob_value| <= threshold``.
 
-    ``magnitude_bound`` caps ``|d^2 - t^2|`` on the *encoded* scale and
-    sizes the blinding factor; by default it is derived from the larger of
-    the operands and the threshold, which is safe for attribute domains
-    (the values the linkage protocol feeds in are domain-bounded).
+    ``magnitude_bound`` caps ``|d^2 - t^2|`` on the raw scale and sizes
+    the blinding factor; by default it is :func:`default_magnitude_bound`,
+    which is safe for attribute domains (the values the linkage protocol
+    feeds in are domain-bounded).
     """
-    alice_square, alice_minus_twice = alice_encrypts(session, alice_value)
-    encrypted_distance = bob_combines(
-        session, alice_square, alice_minus_twice, bob_value
-    )
-    codec = session.codec
-    encoded_threshold = codec.encode_square_threshold(threshold * threshold)
-    margin = encrypted_distance - encoded_threshold
     if magnitude_bound is None:
-        magnitude_bound = max(
-            abs(alice_value), abs(bob_value), threshold, 1.0
+        magnitude_bound = default_magnitude_bound(
+            alice_value, bob_value, threshold
         )
-        # d^2 <= (|a| + |b|)^2 <= (2 * bound)^2 on the raw scale.
-        magnitude_bound = 4.0 * magnitude_bound * magnitude_bound
-    encoded_bound = int(magnitude_bound * codec.scale * codec.scale) + 1
-    rho = session.random_blinder(encoded_bound)
-    blinded = (margin * rho).rerandomize(session.rng)
-    session.transcript.record_operation("homomorphic_add", 1)
-    session.transcript.record_operation("homomorphic_scale", 1)
-    session.transcript.record_operation("rerandomize", 1)
-    session.send_ciphertexts(BOB, QUERY, 1)
-    signed = session.private_key.decrypt_signed(blinded)
-    session.transcript.record_operation("decrypt", 1)
-    return signed <= 0
+    return finish_within_threshold(
+        session,
+        alice_encrypts(session, alice_value),
+        bob_value,
+        threshold,
+        magnitude_bound,
+    )

@@ -56,14 +56,26 @@ def bob_blinds_difference(
     return blinded
 
 
-def secure_equality(session: SMCSession, alice_value, bob_value) -> bool:
-    """Run the full equality protocol; the query party learns one bit."""
-    alice_hash = alice_encrypts_hash(session, alice_value)
+def finish_equality(
+    session: SMCSession, alice_hash: EncryptedNumber, bob_value
+) -> bool:
+    """Bob's step plus the query party's zero test, on Alice's ``E(h_a)``.
+
+    *alice_hash* may be reused across Bob's records; the blinded
+    difference Bob forwards is fresh each time.
+    """
     blinded = bob_blinds_difference(session, alice_hash, bob_value)
     session.send_ciphertexts(BOB, QUERY, 1)
     raw = session.private_key.decrypt(blinded)
     session.transcript.record_operation("decrypt", 1)
     return raw == 0
+
+
+def secure_equality(session: SMCSession, alice_value, bob_value) -> bool:
+    """Run the full equality protocol; the query party learns one bit."""
+    return finish_equality(
+        session, alice_encrypts_hash(session, alice_value), bob_value
+    )
 
 
 def secure_hamming_distance(session: SMCSession, alice_value, bob_value) -> int:

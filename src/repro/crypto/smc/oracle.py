@@ -28,9 +28,12 @@ import numpy as np
 
 from repro.crypto.paillier import PaillierKeyPair
 from repro.crypto.smc.channel import SMCSession
-from repro.crypto.smc.comparison import secure_within_threshold
-from repro.crypto.smc.euclidean import secure_squared_distance
-from repro.crypto.smc.hamming import secure_equality
+from repro.crypto.smc.comparison import (
+    default_magnitude_bound,
+    finish_within_threshold,
+)
+from repro.crypto.smc.euclidean import alice_encrypts, finish_squared_distance
+from repro.crypto.smc.hamming import alice_encrypts_hash, finish_equality
 from repro.data.schema import Record, Schema
 from repro.errors import ConfigurationError, ProtocolError
 from repro.linkage.columns import (
@@ -84,11 +87,24 @@ class SMCOracle(abc.ABC):
     def compare(self, left: Record, right: Record) -> bool:
         """True when the pair matches under the decision rule ``dr``."""
         self.invocations += 1
-        return self._compare(self.bound.project(left), self.bound.project(right))
+        return self._compare(
+            self._left_row(self.bound.project(left)), self.bound.project(right)
+        )
+
+    def _left_row(self, left_values: tuple):
+        """What :meth:`_compare` receives for one left record.
+
+        :meth:`compare_block` calls this once per left row and passes the
+        result to every pair of that row, so a backend can keep per-row
+        state (the Paillier backend caches Alice's ciphertexts). By
+        default it is the rule-ordered values themselves.
+        """
+        return left_values
 
     @abc.abstractmethod
-    def _compare(self, left_values: tuple, right_values: tuple) -> bool:
-        """Backend-specific comparison of two rule-ordered value tuples."""
+    def _compare(self, left_row, right_values: tuple) -> bool:
+        """Backend-specific comparison of one :meth:`_left_row` result
+        with a rule-ordered right value tuple."""
 
     def compare_block(
         self,
@@ -101,7 +117,9 @@ class SMCOracle(abc.ABC):
         Returns, per lease, the matching ``(left_offset, right_offset)``
         positions within the lease's rows, in row-major order. The base
         implementation runs :meth:`_compare` pair by pair on the original
-        values; the counting backend overrides it with a vectorized path.
+        values, preparing each distinct left row once per call through
+        :meth:`_left_row`; the counting backend overrides it with a
+        vectorized path.
         Both charge exactly ``take`` invocations per lease, so the cost
         model is unaffected. A take outside ``1..`` the class pair's size
         raises :class:`ProtocolError` before any pair is compared.
@@ -109,6 +127,7 @@ class SMCOracle(abc.ABC):
         check_leases(leases)
         left_positions = left.positions(self.rule.names)
         right_positions = right.positions(self.rule.names)
+        left_rows: dict[int, object] = {}
         results = []
         for lease in leases:
             rows, columns, remainder = lease_shape(lease)
@@ -118,13 +137,16 @@ class SMCOracle(abc.ABC):
             ]
             matches = []
             for left_offset in range(rows):
-                left_values = left.values(
-                    lease.left_rows[left_offset], left_positions
-                )
+                row = int(lease.left_rows[left_offset])
+                left_row = left_rows.get(row)
+                if left_row is None:
+                    left_row = left_rows[row] = self._left_row(
+                        left.values(row, left_positions)
+                    )
                 stop = remainder if remainder and left_offset == rows - 1 else columns
                 for right_offset in range(stop):
                     self.invocations += 1
-                    if self._compare(left_values, right_values[right_offset]):
+                    if self._compare(left_row, right_values[right_offset]):
                         matches.append((left_offset, right_offset))
             results.append(matches)
         return results
@@ -254,6 +276,11 @@ class CountingPlaintextOracle(SMCOracle):
 class PaillierSMCOracle(SMCOracle):
     """The real three-party protocol stack.
 
+    Within one :meth:`compare_block` call Alice encrypts each left row's
+    value for an attribute at most once, when the first pair reaches that
+    attribute; Bob's steps and the querying party's decryption run per
+    pair, and each ciphertext Bob forwards is re-randomized exactly once.
+
     Parameters
     ----------
     rule, schema:
@@ -300,40 +327,68 @@ class PaillierSMCOracle(SMCOracle):
             telemetry if telemetry.enabled else None
         )
 
-    def _compare(self, left_values: tuple, right_values: tuple) -> bool:
-        for attribute, left_value, right_value in zip(
-            self.rule, left_values, right_values
+    def _left_row(self, left_values: tuple) -> "_AliceRow":
+        return _AliceRow(left_values, self.session)
+
+    def _compare(self, left_row: "_AliceRow", right_values: tuple) -> bool:
+        session = self.session
+        for index, (attribute, right_value) in enumerate(
+            zip(self.rule, right_values)
         ):
+            left_value = left_row.values[index]
             if attribute.is_continuous:
                 self.attribute_comparisons += 1
+                alice = left_row.alice_step(index, alice_encrypts)
                 threshold = attribute.effective_threshold
                 if self.hide_distances:
-                    within = secure_within_threshold(
-                        self.session, left_value, right_value, threshold
+                    within = finish_within_threshold(
+                        session,
+                        alice,
+                        right_value,
+                        threshold,
+                        default_magnitude_bound(left_value, right_value, threshold),
                     )
                 else:
-                    squared = secure_squared_distance(
-                        self.session, left_value, right_value
-                    )
+                    squared = finish_squared_distance(session, alice, right_value)
                     within = squared <= threshold * threshold + 1e-9
                 if not within:
                     return False
-            elif attribute.is_string:
-                if attribute.threshold >= 1:
-                    # A secure *approximate* edit-distance protocol is the
-                    # open problem the paper's Section VIII names; only the
-                    # exact-equality case is supported cryptographically.
-                    raise ProtocolError(
-                        f"no secure edit-distance protocol for "
-                        f"{attribute.name!r} with threshold >= 1; use the "
-                        "plaintext cost-model oracle for that configuration"
-                    )
+            elif attribute.is_string and attribute.threshold >= 1:
+                # A secure *approximate* edit-distance protocol is the
+                # open problem the paper's Section VIII names; only the
+                # exact-equality case is supported cryptographically.
+                raise ProtocolError(
+                    f"no secure edit-distance protocol for "
+                    f"{attribute.name!r} with threshold >= 1; use the "
+                    "plaintext cost-model oracle for that configuration"
+                )
+            elif attribute.is_string or attribute.threshold < 1:
                 self.attribute_comparisons += 1
-                if not secure_equality(self.session, left_value, right_value):
-                    return False
-            elif attribute.threshold < 1:
-                self.attribute_comparisons += 1
-                if not secure_equality(self.session, left_value, right_value):
+                alice = left_row.alice_step(index, alice_encrypts_hash)
+                if not finish_equality(session, alice, right_value):
                     return False
             # Hamming threshold >= 1 can never be exceeded: no protocol run.
         return True
+
+
+class _AliceRow:
+    """One left record's rule-ordered values and Alice's ciphertexts.
+
+    Alice's step for an attribute depends only on her value, so it runs
+    on first use and its ciphertexts go to Bob once; every later pair of
+    the row reuses them, and Bob's forwarded ciphertexts stay fresh.
+    """
+
+    __slots__ = ("values", "_session", "_sent")
+
+    def __init__(self, values: tuple, session: SMCSession):
+        self.values = values
+        self._session = session
+        self._sent: dict[int, object] = {}
+
+    def alice_step(self, index: int, step):
+        """``step(session, value)`` for attribute *index*, run at most once."""
+        sent = self._sent.get(index)
+        if sent is None:
+            sent = self._sent[index] = step(self._session, self.values[index])
+        return sent

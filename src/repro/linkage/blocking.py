@@ -28,6 +28,7 @@ Three implementation notes:
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -49,6 +50,10 @@ AUTO_NUMPY_THRESHOLD = 10_000
 #: are materialized at once per per-attribute intermediate (uint8/bool), so
 #: peak extra memory is a few multiples of this, independent of corpus size.
 DEFAULT_CHUNK_CELLS = 1 << 22
+
+#: ``repro.obs.compare.SYNTHETIC_SLOWDOWN_ENV``, spelled out so checking
+#: whether the hook is set needs no import.
+_SYNTHETIC_SLOWDOWN_ENV = "REPRO_OBS_SYNTHETIC_SLOWDOWN"
 
 
 def numpy_available() -> bool:
@@ -232,9 +237,12 @@ def apply_synthetic_slowdown(span) -> None:
     :func:`block` and the pipeline's sharded blocking so the gate's
     self-test works under every executor.
     """
+    # Without the hook set, return before the import: its first call
+    # would otherwise pad the very span it measures.
+    if not os.environ.get(_SYNTHETIC_SLOWDOWN_ENV):
+        return
     # Imported per call so ``python -m repro.obs.compare`` never finds
-    # its target pre-imported via ``import repro``; blocking runs once
-    # per phase, so the lookup cost is irrelevant.
+    # its target pre-imported via ``import repro``.
     from repro.obs.compare import synthetic_slowdown
 
     slowdown = synthetic_slowdown("blocking")

@@ -145,6 +145,7 @@ class TestDrivers:
         table = smc_timing(key_bits=256, samples=2, data=tiny_data)
         values = dict((row[0], row[1]) for row in table.rows)
         assert values["secure distance / attribute (s)"] > 0
+        assert values["blinded comparison, online / pair (s)"] > 0
 
     def test_experiment_registry_complete(self):
         expected = {

@@ -250,6 +250,96 @@ def test_paillier_matches_counting_on_the_same_leases(adult_rule, adult_sides):
     assert paillier.invocations == counting.invocations == 17
 
 
+def alice_steps(rule, left, right, leases):
+    """What the short-circuiting Paillier protocol must send, per party.
+
+    Walks every leased pair in row-major order through the plaintext rule,
+    stopping at the first failing attribute as the oracle does. Returns
+    the distinct ``(left row, attribute)`` pairs reached — Alice's steps
+    when each left row is encrypted once per call — and the number of
+    attribute comparisons, one Bob→query ciphertext each.
+    """
+    left_positions = left.positions(rule.names)
+    right_positions = right.positions(rule.names)
+    reached = set()
+    outgoing = 0
+    for lease in leases:
+        for position in range(lease.take):
+            left_offset, right_offset = divmod(position, len(lease.right_rows))
+            row = int(lease.left_rows[left_offset])
+            left_values = left.values(row, left_positions)
+            right_values = right.values(
+                int(lease.right_rows[right_offset]), right_positions
+            )
+            for index, (attribute, a, b) in enumerate(
+                zip(rule, left_values, right_values)
+            ):
+                reached.add((row, index))
+                outgoing += 1
+                if attribute.is_continuous:
+                    if abs(a - b) > attribute.effective_threshold:
+                        break
+                elif a != b:
+                    break
+    return reached, outgoing
+
+
+#: Multi-row leases over ``adult_sides`` whose pairs reach every depth of
+#: the rule (left row 34 meets its one true match, right row 41). Row 34
+#: opens the second lease too, so one call sees it in two leases; the
+#: second lease stops one pair into its last row.
+REUSE_LEASES = (
+    ([34, 4, 5, 22, 8], [41, 7, 28, 5, 12, 56], 30),
+    ([2, 34, 3], [5, 51, 21, 38, 41], 11),
+    ([1, 8, 22], [18, 56, 12, 0], 10),
+)
+
+
+@pytest.mark.parametrize("hide_distances", [True, False])
+def test_paillier_encrypts_each_left_row_once_per_call(
+    hide_distances, adult_rule, adult_sides
+):
+    _, __, left_columns, right_columns = adult_sides
+    leases = [
+        BlockLease(np.array(left_rows), np.array(right_rows), take)
+        for left_rows, right_rows, take in REUSE_LEASES
+    ]
+    paillier = PaillierSMCOracle(
+        adult_rule,
+        adult_schema(),
+        key_bits=256,
+        hide_distances=hide_distances,
+        rng=31,
+    )
+    counting = CountingPlaintextOracle(adult_rule, adult_schema())
+    operations = paillier.session.transcript.operations
+    messages = paillier.session.transcript.messages
+    results = paillier.compare_block(left_columns, right_columns, leases)
+    assert results == counting.compare_block(left_columns, right_columns, leases)
+    assert (0, 0) in results[0]
+    assert paillier.invocations == counting.invocations == 51
+
+    reached, outgoing = alice_steps(
+        adult_rule, left_columns, right_columns, leases
+    )
+    assert {index for _, index in reached} == set(range(len(adult_rule)))
+    # Per pair, the short-circuit bills fewer comparisons than the
+    # counting backend's flat ``take * billable``.
+    assert paillier.attribute_comparisons == outgoing
+    assert outgoing < counting.attribute_comparisons
+    # Alice's step: E(a^2), E(-2a) for a continuous attribute, E(h_a) for
+    # a categorical one, once per reached (left row, attribute).
+    attributes = list(adult_rule)
+    assert operations["encrypt"] == sum(
+        2 if attributes[index].is_continuous else 1 for _, index in reached
+    )
+    # Every ciphertext Bob forwards is re-randomized exactly once.
+    assert operations["rerandomize"] == operations["decrypt"] == outgoing
+    assert paillier.session.transcript.messages - messages == len(
+        reached
+    ) + outgoing
+
+
 @pytest.mark.parametrize("take", [0, -1, 9 * 12 + 1])
 def test_take_outside_the_class_pair_rejected(take, adult_rule, adult_sides):
     _, __, left_columns, right_columns = adult_sides

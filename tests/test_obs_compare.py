@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -274,3 +275,18 @@ class TestSyntheticSlowdown:
         monkeypatch.delenv(SYNTHETIC_SLOWDOWN_ENV, raising=False)
         block(toy_rule, left, right, engine="python")
         assert slept == []
+
+    def test_unset_hook_skips_the_compare_import(
+        self, monkeypatch, toy_rule, toy_generalized
+    ):
+        """Without the env the blocking span never pays for the import."""
+        from repro.linkage import blocking
+
+        assert blocking._SYNTHETIC_SLOWDOWN_ENV == SYNTHETIC_SLOWDOWN_ENV
+        left, right = toy_generalized
+        monkeypatch.delenv(SYNTHETIC_SLOWDOWN_ENV, raising=False)
+        monkeypatch.setitem(sys.modules, "repro.obs.compare", None)
+        block(toy_rule, left, right, engine="python")
+        monkeypatch.setenv(SYNTHETIC_SLOWDOWN_ENV, "blocking=2.0")
+        with pytest.raises(ImportError):
+            block(toy_rule, left, right, engine="python")

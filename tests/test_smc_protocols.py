@@ -7,9 +7,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.paillier import PaillierKeyPair
 from repro.crypto.smc.channel import ALICE, BOB, QUERY, SMCSession, Transcript
-from repro.crypto.smc.comparison import secure_within_threshold
-from repro.crypto.smc.euclidean import secure_squared_distance
+from repro.crypto.smc.comparison import (
+    default_magnitude_bound,
+    finish_within_threshold,
+    secure_within_threshold,
+)
+from repro.crypto.smc.euclidean import (
+    alice_encrypts,
+    finish_squared_distance,
+    secure_squared_distance,
+)
 from repro.crypto.smc.hamming import (
+    alice_encrypts_hash,
+    finish_equality,
     hash_value,
     secure_equality,
     secure_hamming_distance,
@@ -85,6 +95,7 @@ class TestSecureSquaredDistance:
         # 1 Alice->Bob transfer (two ciphertexts batched) + 1 Bob->query.
         assert session.transcript.messages == base_messages + 2
         assert session.transcript.operations["encrypt"] == 2
+        assert session.transcript.operations["rerandomize"] == 1
         assert session.transcript.operations["decrypt"] == 1
 
 
@@ -147,3 +158,65 @@ class TestSecureWithinThreshold:
             observed.append(session.private_key.decrypt_signed(blinded))
         assert observed[0] != observed[1]
         assert all(value > 0 for value in observed)  # sign is preserved
+
+
+class _RecordingKey:
+    """The querying party's private key, keeping every ciphertext it sees."""
+
+    def __init__(self, key):
+        self.key = key
+        self.seen = []
+
+    def decrypt(self, encrypted):
+        self.seen.append(encrypted.ciphertext)
+        return self.key.decrypt(encrypted)
+
+    def decrypt_signed(self, encrypted):
+        self.seen.append(encrypted.ciphertext)
+        return self.key.decrypt_signed(encrypted)
+
+
+class TestReusedAliceCiphertexts:
+    """Alice's step once, Bob's steps per record: same answers, fresh
+    ciphertexts for the querying party, one re-randomization each."""
+
+    def test_answers_match_the_full_protocols(self, key_pair):
+        session = SMCSession(key_pair, rng=8)
+        alice = alice_encrypts(session, 35.0)
+        alice_hash = alice_encrypts_hash(session, "Masters")
+        for bob_value in (30.0, 35.0, 36.0, 54.0, 55.0):
+            assert finish_squared_distance(
+                session, alice, bob_value
+            ) == pytest.approx((35.0 - bob_value) ** 2)
+            assert finish_within_threshold(
+                session,
+                alice,
+                bob_value,
+                19.6,
+                default_magnitude_bound(35.0, bob_value, 19.6),
+            ) == secure_within_threshold(session, 35.0, bob_value, 19.6)
+        for bob_value in ("Masters", "9th"):
+            assert finish_equality(session, alice_hash, bob_value) == (
+                bob_value == "Masters"
+            )
+
+    def test_query_party_never_sees_a_ciphertext_twice(self, key_pair):
+        session = SMCSession(key_pair, rng=9)
+        recording = session.private_key = _RecordingKey(session.private_key)
+        alice = alice_encrypts(session, 40.0)
+        alice_hash = alice_encrypts_hash(session, "x")
+        before = session.transcript.operations.copy()
+        for _ in range(3):
+            finish_squared_distance(session, alice, 40.0)
+            finish_within_threshold(session, alice, 40.0, 1.0, 6400.0)
+            finish_equality(session, alice_hash, "x")
+        operations = session.transcript.operations - before
+        assert len(set(recording.seen)) == len(recording.seen) == 9
+        assert operations["encrypt"] == 0
+        assert operations["rerandomize"] == operations["decrypt"] == 9
+
+    def test_within_threshold_rerandomizes_once(self, session):
+        secure_within_threshold(session, 35, 36, 19.6)
+        operations = session.transcript.operations
+        assert operations["encrypt"] == 2
+        assert operations["rerandomize"] == operations["decrypt"] == 1
