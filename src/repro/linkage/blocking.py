@@ -31,6 +31,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.anonymize.base import EquivalenceClass, GeneralizedRelation
 from repro.errors import ConfigurationError
@@ -38,6 +39,11 @@ from repro.linkage.distances import MatchRule
 from repro.linkage.expected import normalized_expected_distance
 from repro.linkage.slack import attribute_slack
 from repro.obs import NOOP_TELEMETRY, Telemetry
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.linkage.codes import CodeTables
 
 #: Recognized values of the ``engine`` parameter.
 ENGINES = ("auto", "python", "numpy")
@@ -252,11 +258,15 @@ def apply_synthetic_slowdown(span) -> None:
 
 def publish_blocking_metrics(
     telemetry: Telemetry,
-    result: BlockingResult,
+    result: BlockingResult | ClassPairVerdicts,
     class_pairs: int,
     resolved: str,
 ) -> None:
-    """Mirror one blocking result into the metrics registry."""
+    """Mirror one blocking result into the metrics registry.
+
+    Shared by the library and the querying party, so both entry points
+    publish the same ``blocking.*`` counters.
+    """
     if not telemetry.enabled:
         return
     telemetry.gauge("blocking.engine").set(resolved)
@@ -375,15 +385,53 @@ def _block_python(
     result.nonmatch_pairs = nonmatch_pairs
 
 
-def _block_numpy(
+@dataclass
+class ClassPairVerdicts:
+    """Positional blocking verdicts from the numpy kernel.
+
+    ``matched`` and ``unknown`` are ``(n, 2)`` arrays of ``(left index,
+    right index)`` class positions in row-major order; ``nonmatch_pairs``
+    is a record-pair count. ``tables`` are the code tables the verdicts
+    came from, so a caller can score the unknown pairs without encoding
+    the classes again.
+    """
+
+    tables: CodeTables
+    matched: np.ndarray
+    unknown: np.ndarray
+    nonmatch_pairs: int
+
+    def _record_pairs(self, positions: np.ndarray) -> int:
+        sizes = (
+            self.tables.left_sizes[positions[:, 0]]
+            * self.tables.right_sizes[positions[:, 1]]
+        )
+        return int(sizes.sum())
+
+    @property
+    def matched_pairs(self) -> int:
+        """Record pairs certainly matched by blocking."""
+        return self._record_pairs(self.matched)
+
+    @property
+    def unknown_pairs(self) -> int:
+        """Record pairs left undecided."""
+        return self._record_pairs(self.unknown)
+
+
+def block_positions(
     rule: MatchRule,
-    left: GeneralizedRelation,
-    right: GeneralizedRelation,
-    result: BlockingResult,
-    chunk_cells: int,
+    left,
+    right,
+    *,
+    chunk_cells: int = DEFAULT_CHUNK_CELLS,
     telemetry: Telemetry = NOOP_TELEMETRY,
-) -> None:
+) -> ClassPairVerdicts:
     """The vectorized engine: codes + verdict matrices + chunked reductions.
+
+    *left* and *right* are anything with ``.qids`` and ``.classes`` whose
+    classes carry ``.sequence`` and ``.size``: anonymized relations here,
+    published views in :mod:`repro.protocol`.
 
     Per attribute the verdict matrix is split into two boolean tables
     (``verdict == 1`` and ``verdict == 2``) and, when the result fits the
@@ -396,19 +444,19 @@ def _block_numpy(
     / ``match = all(v == 2)`` masks. Non-match mass is accumulated as the
     bilinear form ``left_sizes @ mask @ right_sizes`` without
     materializing pairs; matched/unknown class pairs come out of
-    ``np.nonzero`` in row-major order — exactly the scalar engine's
+    ``np.argwhere`` in row-major order — exactly the scalar engine's
     append order.
     """
     import numpy as np
 
     from repro.linkage.codes import CodeTables
 
-    left_classes = left.classes
-    right_classes = right.classes
-    right_count = len(right_classes)
-    if not left_classes or not right_count:
-        return
     tables = CodeTables(rule, left, right)
+    left_count = len(left.classes)
+    right_count = len(right.classes)
+    empty = np.empty((0, 2), dtype=np.intp)
+    if not left_count or not right_count:
+        return ClassPairVerdicts(tables, empty, empty, 0)
     left_codes = tables.left_codes
     left_sizes = tables.left_sizes
     right_sizes = tables.right_sizes
@@ -428,19 +476,15 @@ def _block_numpy(
             )
         else:
             attribute_tables.append((nonmatch_table, match_table, r_codes))
-    left_array = np.empty(len(left_classes), dtype=object)
-    left_array[:] = left_classes
-    right_array = np.empty(right_count, dtype=object)
-    right_array[:] = right_classes
     rows_per_chunk = max(1, chunk_cells // right_count)
-    total_chunks = -(-len(left_classes) // rows_per_chunk)
+    total_chunks = -(-left_count // rows_per_chunk)
     nonmatch_total = 0
     chunks = 0
-    matched = result.matched
-    unknown = result.unknown
-    for start in range(0, len(left_classes), rows_per_chunk):
+    matched = [empty]
+    unknown = [empty]
+    for start in range(0, left_count, rows_per_chunk):
         chunks += 1
-        stop = min(start + rows_per_chunk, len(left_classes))
+        stop = min(start + rows_per_chunk, left_count)
         nonmatch = None
         all_match = None
         for (nonmatch_table, match_table, r_codes), l_codes in zip(
@@ -462,18 +506,51 @@ def _block_numpy(
                 all_match &= match_chunk
         nonmatch_total += int(left_sizes[start:stop] @ (nonmatch @ right_sizes))
         undecided = ~(nonmatch | all_match)
-        match_rows, match_cols = np.nonzero(all_match)
-        matched.extend(
-            map(ClassPair, left_array[start + match_rows], right_array[match_cols])
-        )
-        unknown_rows, unknown_cols = np.nonzero(undecided)
-        unknown.extend(
-            map(ClassPair, left_array[start + unknown_rows], right_array[unknown_cols])
-        )
+        for found, mask in ((matched, all_match), (unknown, undecided)):
+            positions = np.argwhere(mask)
+            positions[:, 0] += start
+            found.append(positions)
         telemetry.emit_progress("blocking", chunks, total_chunks, unit="chunks")
-    result.nonmatch_pairs = nonmatch_total
     telemetry.counter("blocking.kernel_chunks").add(chunks)
     telemetry.histogram("blocking.chunk_rows").observe(rows_per_chunk)
+    return ClassPairVerdicts(
+        tables,
+        np.concatenate(matched),
+        np.concatenate(unknown),
+        nonmatch_total,
+    )
+
+
+def _block_numpy(
+    rule: MatchRule,
+    left: GeneralizedRelation,
+    right: GeneralizedRelation,
+    result: BlockingResult,
+    chunk_cells: int,
+    telemetry: Telemetry = NOOP_TELEMETRY,
+) -> None:
+    """Fill *result* from :func:`block_positions` over two relations."""
+    import numpy as np
+
+    verdicts = block_positions(
+        rule, left, right, chunk_cells=chunk_cells, telemetry=telemetry
+    )
+    left_array = np.empty(len(left.classes), dtype=object)
+    left_array[:] = left.classes
+    right_array = np.empty(len(right.classes), dtype=object)
+    right_array[:] = right.classes
+    for pairs, positions in (
+        (result.matched, verdicts.matched),
+        (result.unknown, verdicts.unknown),
+    ):
+        pairs.extend(
+            map(
+                ClassPair,
+                left_array[positions[:, 0]],
+                right_array[positions[:, 1]],
+            )
+        )
+    result.nonmatch_pairs = verdicts.nonmatch_pairs
 
 
 class ExpectedDistanceCache:

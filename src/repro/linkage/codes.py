@@ -104,6 +104,11 @@ def _encode_column(
 class CodeTables:
     """Shared integer encodings for one ``(rule, left, right)`` triple.
 
+    *left* and *right* need only ``.qids`` and ``.classes`` whose classes
+    carry ``.sequence`` and ``.size``: a
+    :class:`~repro.anonymize.base.GeneralizedRelation` or a published
+    view (:class:`repro.protocol.PublishedView`) alike.
+
     ``left_codes[a]`` / ``right_codes[a]`` map class index to value code
     for rule attribute ``a``; :meth:`verdict_matrix` and
     :meth:`expected_matrix` expose the dense per-attribute decision tables.

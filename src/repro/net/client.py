@@ -426,7 +426,8 @@ class QueryingPartyClient:
 
     ``alice`` plays the bridge role (owns the oracle and the holder link
     to ``bob``); the decision logic is the unchanged
-    :class:`repro.protocol.QueryingParty`.
+    :class:`repro.protocol.QueryingParty`, which records its ``blocking``
+    and ``select`` spans on this client's telemetry, inside ``net.smc``.
     """
 
     def __init__(
@@ -438,8 +439,6 @@ class QueryingPartyClient:
         allowance: float = 0.015,
         heuristic: SelectionHeuristic | None = None,
         claim_leftovers: bool = False,
-        executor: str = "serial",
-        shards: int = 1,
         batch_size: int = DEFAULT_BATCH_SIZE,
         timeout: float = DEFAULT_TIMEOUT,
         telemetry: Telemetry = NOOP_TELEMETRY,
@@ -451,11 +450,6 @@ class QueryingPartyClient:
         self.allowance = allowance
         self.heuristic = heuristic
         self.claim_leftovers = claim_leftovers
-        #: Execution plan forwarded to :class:`repro.protocol.QueryingParty`
-        #: for its shard-parallel blocking. The remote outcome is identical
-        #: for every plan.
-        self.executor = executor
-        self.shards = shards
         self.batch_size = batch_size
         self.timeout = timeout
         self.telemetry = telemetry
@@ -500,8 +494,7 @@ class QueryingPartyClient:
                     allowance=self.allowance,
                     heuristic=self.heuristic,
                     claim_leftovers=self.claim_leftovers,
-                    executor=self.executor,
-                    shards=self.shards,
+                    telemetry=self.telemetry,
                 )
                 with self.telemetry.span("net.smc", session=bridge.session_id):
                     outcome = party.link(left_view, right_view, bridge)

@@ -37,8 +37,6 @@ from .stages import (
     SMCOutcome,
     SMCStage,
     Stage,
-    ViewBlocking,
-    block_published_views,
 )
 
 __all__ = [
@@ -57,8 +55,6 @@ __all__ = [
     "SerialExecutor",
     "Stage",
     "ThreadExecutor",
-    "ViewBlocking",
-    "block_published_views",
     "resolve_executor",
     "validate_executor",
     "validate_shards",

@@ -39,8 +39,6 @@ from repro.linkage.blocking import (
     _block_python,
 )
 from repro.linkage.columns import BlockLease, RecordColumns
-from repro.linkage.expected import expected_distance_vector
-from repro.linkage.slack import Label, slack_decision
 
 
 @dataclass(frozen=True)
@@ -243,81 +241,6 @@ def run_smc_shard(task: SMCShardTask) -> SMCShardResult:
         matched=matched,
         invocations=oracle.invocations,
         attribute_comparisons=oracle.attribute_comparisons,
-        seconds=time.perf_counter() - started,
-    )
-
-
-# --------------------------------------------------------------------------
-# Published-view shards (protocol.py's QueryingParty blocking loop)
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ViewShardTask:
-    """A slice of published left classes against all right classes."""
-
-    rule: object
-    heuristic: object
-    left_classes: tuple
-    right_classes: tuple
-    left_positions: tuple[int, ...]
-    right_positions: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ViewShardResult:
-    """One shard of the querying party's blocking pass."""
-
-    blocked_match_pairs: int
-    blocked_nonmatch_pairs: int
-    matched_class_pairs: list[tuple[int, int]]
-    #: (score, left slice offset, right index), in row-major order.
-    unknown: list[tuple[float, int, int]]
-    seconds: float
-
-
-def run_view_shard(task: ViewShardTask) -> ViewShardResult:
-    """Run ``QueryingParty.link``'s blocking loop over one slice.
-
-    Unknown class pairs come back scored, addressed by their offsets in
-    the slice and the right view; the querying party sorts the merged
-    list by its own key, so the shard layout never shows in the order.
-    """
-    started = time.perf_counter()
-    blocked_match = 0
-    blocked_nonmatch = 0
-    matched_class_pairs: list[tuple[int, int]] = []
-    unknown: list[tuple[float, int, int]] = []
-    for left_offset, left_class in enumerate(task.left_classes):
-        left_sequence = [
-            left_class.sequence[position] for position in task.left_positions
-        ]
-        for right_offset, right_class in enumerate(task.right_classes):
-            right_sequence = [
-                right_class.sequence[position]
-                for position in task.right_positions
-            ]
-            label = slack_decision(task.rule, left_sequence, right_sequence)
-            pair_count = left_class.size * right_class.size
-            if label is Label.MATCH:
-                blocked_match += pair_count
-                matched_class_pairs.append(
-                    (left_class.class_id, right_class.class_id)
-                )
-            elif label is Label.NONMATCH:
-                blocked_nonmatch += pair_count
-            else:
-                score = task.heuristic.score(
-                    expected_distance_vector(
-                        task.rule.attributes, left_sequence, right_sequence
-                    )
-                )
-                unknown.append((score, left_offset, right_offset))
-    return ViewShardResult(
-        blocked_match_pairs=blocked_match,
-        blocked_nonmatch_pairs=blocked_nonmatch,
-        matched_class_pairs=matched_class_pairs,
-        unknown=unknown,
         seconds=time.perf_counter() - started,
     )
 

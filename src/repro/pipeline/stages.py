@@ -52,13 +52,11 @@ from .shards import (
     BlockShardTask,
     ScoreShardTask,
     SMCShardTask,
-    ViewShardTask,
     plan_leases,
     relation_view,
     run_block_shard,
     run_score_shard,
     run_smc_shard,
-    run_view_shard,
 )
 
 
@@ -490,76 +488,3 @@ class LeftoverStage(Stage):
             )
 
         return scorer
-
-
-# --------------------------------------------------------------------------
-# Published-view consumers (protocol.py's QueryingParty)
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class ViewBlocking:
-    """The querying party's blocking pass, merged across shards."""
-
-    blocked_match_pairs: int
-    blocked_nonmatch_pairs: int
-    matched_class_pairs: list[tuple[int, int]]
-    #: (score, (left PublishedClass, right PublishedClass)) per unknown
-    #: class pair, unsorted.
-    unknown: list[tuple[float, tuple]]
-
-
-def block_published_views(
-    rule,
-    heuristic,
-    left_view,
-    right_view,
-    left_positions,
-    right_positions,
-    *,
-    context: RunContext,
-) -> ViewBlocking:
-    """Run ``QueryingParty.link``'s blocking loop, sharded over left classes.
-
-    The single-shard case routes through the same worker
-    (:func:`~repro.pipeline.shards.run_view_shard`) as the sharded one —
-    the worker *is* the serial loop, so there is no second code path to
-    keep in sync.
-    """
-    bounds = context.partitioner.slices(len(left_view.classes))
-    tasks = [
-        ViewShardTask(
-            rule=rule,
-            heuristic=heuristic,
-            left_classes=tuple(left_view.classes[start:stop]),
-            right_classes=tuple(right_view.classes),
-            left_positions=tuple(left_positions),
-            right_positions=tuple(right_positions),
-        )
-        for start, stop in bounds
-    ]
-    merged = ViewBlocking(
-        blocked_match_pairs=0,
-        blocked_nonmatch_pairs=0,
-        matched_class_pairs=[],
-        unknown=[],
-    )
-    shard_results = context.executor.map(run_view_shard, tasks)
-    for (start, _stop), shard in zip(bounds, shard_results):
-        merged.blocked_match_pairs += shard.blocked_match_pairs
-        merged.blocked_nonmatch_pairs += shard.blocked_nonmatch_pairs
-        merged.matched_class_pairs.extend(shard.matched_class_pairs)
-        merged.unknown.extend(
-            (
-                score,
-                (
-                    left_view.classes[start + left_offset],
-                    right_view.classes[right_offset],
-                ),
-            )
-            for score, left_offset, right_offset in shard.unknown
-        )
-        context.telemetry.histogram(
-            "pipeline.view_block.shard_seconds"
-        ).observe(shard.seconds)
-    return merged

@@ -223,15 +223,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         choices=("serial", "thread", "process"),
         default="serial",
-        help="shard execution backend for the staged pipeline; every "
-        "backend produces bit-identical results",
+        help="shard execution backend for the staged pipeline (library "
+        "path only; not accepted with --remote); every backend produces "
+        "bit-identical results",
     )
     parser.add_argument(
         "--shards",
         type=int,
         default=1,
         help="how many shards to split the class-pair space into "
-        "(1 = classic serial run)",
+        "(1 = classic serial run; library path only, not accepted with "
+        "--remote)",
     )
     parser.add_argument(
         "--hierarchies",
@@ -267,6 +269,11 @@ def run_remote(args, parser: argparse.ArgumentParser) -> int:
 
     if args.left or args.right:
         parser.error("--remote takes no CSV arguments; the holders have the data")
+    if args.executor != "serial" or args.shards != 1:
+        parser.error(
+            "--executor/--shards apply to the library path only; the "
+            "querying party has nothing to shard"
+        )
     if not args.hierarchies:
         parser.error(
             "--remote requires --hierarchies: hierarchies are normally "
@@ -293,8 +300,6 @@ def run_remote(args, parser: argparse.ArgumentParser) -> int:
             parties["bob"],
             allowance=args.allowance,
             heuristic=heuristic_by_name(args.heuristic),
-            executor=args.executor,
-            shards=args.shards,
             telemetry=telemetry,
         )
         result = client.run()
@@ -320,8 +325,6 @@ def run_remote(args, parser: argparse.ArgumentParser) -> int:
                 "k": args.k,
                 "allowance": args.allowance,
                 "heuristic": args.heuristic,
-                "executor": args.executor,
-                "shards": args.shards,
             },
         )
         print(f"wrote run report to {args.metrics_out}")

@@ -6,7 +6,7 @@ bit-identical to the classic serial path — same verified matches, same
 observation sequence, same leftovers, same oracle invoice. These tests
 pin that contract at every layer: the partitioner, the budget ledger,
 the executor backends, the full :class:`~repro.linkage.hybrid.HybridLinkage`
-run, the three-party protocol, and the ``repro-link`` CSV output.
+run and the ``repro-link`` CSV output.
 """
 
 from __future__ import annotations
@@ -303,38 +303,6 @@ class TestLinkageParity:
                 result_fingerprint(HybridLinkage(config).run(left, right))
             )
         assert results[0] == results[1]
-
-
-class TestProtocolParity:
-    """QueryingParty outcomes are identical for every execution plan."""
-
-    @pytest.fixture(scope="class")
-    def parties(self, adult_pair, adult_hierarchy_catalog):
-        from repro.protocol import DataHolder
-
-        alice = DataHolder("alice", adult_pair.left)
-        bob = DataHolder("bob", adult_pair.right)
-        anonymizer = MaxEntropyTDS(adult_hierarchy_catalog)
-        left_view = alice.publish(anonymizer, QIDS, k=16)
-        right_view = bob.publish(anonymizer, QIDS, k=16)
-        return alice, bob, left_view, right_view
-
-    @pytest.mark.parametrize(
-        "executor,shards", [("serial", 3), ("thread", 2), ("process", 4)]
-    )
-    def test_outcome_matches_serial(
-        self, executor, shards, parties, adult_rule
-    ):
-        from repro.protocol import QueryingParty, SMCBridge
-
-        alice, bob, left_view, right_view = parties
-        baseline = QueryingParty(adult_rule, allowance=0.01).link(
-            left_view, right_view, SMCBridge(alice, bob, adult_rule)
-        )
-        sharded = QueryingParty(
-            adult_rule, allowance=0.01, executor=executor, shards=shards
-        ).link(left_view, right_view, SMCBridge(alice, bob, adult_rule))
-        assert sharded == baseline
 
 
 class TestLinkCliParity:
