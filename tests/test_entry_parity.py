@@ -4,7 +4,9 @@
 ``QueryingParty`` over published views with an ``SMCBridge``, and the
 loopback ``QueryingPartyClient`` against two ``DataHolderServer``s must
 agree on the verified matches themselves — not just their count — and on
-the leftover record pairs and the SMC invocations spent.
+the leftover record pairs and the SMC invocations spent, for every
+selection heuristic. Each entry point gets a fresh heuristic instance, so
+a seeded ``RandomSelection`` shuffles the same way in all three.
 """
 
 import pytest
@@ -16,6 +18,7 @@ from repro.data.adult import generate_adult
 from repro.data.hierarchies import ADULT_QID_ORDER, adult_hierarchies
 from repro.data.partition import build_linkage_pair
 from repro.linkage.distances import MatchAttribute, MatchRule
+from repro.linkage.heuristics import MaxLast, MinAvgFirst, MinFirst, RandomSelection
 from repro.linkage.hybrid import HybridLinkage, LinkageConfig
 from repro.net import DataHolderServer, NetRuntime, QueryingPartyClient, RemoteParty
 from repro.protocol import (
@@ -28,6 +31,14 @@ from repro.protocol import (
 QIDS = ADULT_QID_ORDER[:5]
 CATALOG = adult_hierarchies()
 
+#: Heuristic factories: each entry point builds its own instance.
+HEURISTICS = {
+    "minFirst": MinFirst,
+    "maxLast": MaxLast,
+    "minAvgFirst": MinAvgFirst,
+    "random": lambda: RandomSelection(seed=7),
+}
+
 
 @pytest.fixture(scope="module")
 def runtime():
@@ -35,9 +46,10 @@ def runtime():
         yield active
 
 
-def library_run(pair, rule, k, allowance):
+def library_run(pair, rule, k, allowance, heuristic):
     anonymizer = MaxEntropyTDS(CATALOG)
-    result = HybridLinkage(LinkageConfig(rule, allowance=allowance)).run(
+    config = LinkageConfig(rule, allowance=allowance, heuristic=heuristic)
+    result = HybridLinkage(config).run(
         anonymizer.anonymize(pair.left, QIDS, k),
         anonymizer.anonymize(pair.right, QIDS, k),
     )
@@ -48,12 +60,12 @@ def library_run(pair, rule, k, allowance):
     )
 
 
-def protocol_run(pair, rule, k, allowance):
+def protocol_run(pair, rule, k, allowance, heuristic):
     alice = DataHolder("alice", pair.left)
     bob = DataHolder("bob", pair.right)
     left_view = alice.publish(MaxEntropyTDS(CATALOG), QIDS, k)
     right_view = bob.publish(MaxEntropyTDS(CATALOG), QIDS, k)
-    outcome = QueryingParty(rule, allowance=allowance).link(
+    outcome = QueryingParty(rule, allowance=allowance, heuristic=heuristic).link(
         left_view, right_view, SMCBridge(alice, bob, rule)
     )
     handles = verified_match_handles(outcome, left_view, right_view)
@@ -66,7 +78,7 @@ def protocol_run(pair, rule, k, allowance):
     return matches, outcome.leftover_pairs, outcome.smc_invocations
 
 
-def network_run(runtime, pair, rule, k, allowance):
+def network_run(runtime, pair, rule, k, allowance, heuristic):
     servers = [
         runtime.call(
             DataHolderServer(name, relation, MaxEntropyTDS(CATALOG), QIDS, k).start()
@@ -79,7 +91,12 @@ def network_run(runtime, pair, rule, k, allowance):
             for server in servers
         )
         result = QueryingPartyClient(
-            rule, alice, bob, allowance=allowance, runtime=runtime
+            rule,
+            alice,
+            bob,
+            allowance=allowance,
+            heuristic=heuristic,
+            runtime=runtime,
         ).run()
     finally:
         for server in servers:
@@ -91,6 +108,7 @@ def network_run(runtime, pair, rule, k, allowance):
     )
 
 
+@pytest.mark.parametrize("heuristic", sorted(HEURISTICS))
 @settings(
     max_examples=20,
     deadline=None,
@@ -103,10 +121,11 @@ def network_run(runtime, pair, rule, k, allowance):
     allowance=st.floats(min_value=0.005, max_value=0.02),
 )
 def test_entry_points_return_the_same_match_set(
-    runtime, seed, k, theta, allowance
+    runtime, heuristic, seed, k, theta, allowance
 ):
     pair = build_linkage_pair(generate_adult(400, seed=seed), seed=seed + 1)
     rule = MatchRule(MatchAttribute(name, CATALOG[name], theta) for name in QIDS)
-    library = library_run(pair, rule, k, allowance)
-    assert protocol_run(pair, rule, k, allowance) == library
-    assert network_run(runtime, pair, rule, k, allowance) == library
+    make = HEURISTICS[heuristic]
+    library = library_run(pair, rule, k, allowance, make())
+    assert protocol_run(pair, rule, k, allowance, make()) == library
+    assert network_run(runtime, pair, rule, k, allowance, make()) == library
