@@ -168,6 +168,45 @@ class TestParity:
         assert counters.counter("net.frames_sent").value > 0
         assert "on wire" in result.transcript.summary()
 
+    def test_querying_party_phases_nest_under_net_smc(
+        self, runtime, net_fixture, live_servers
+    ):
+        """net.smc splits into blocking, select and the bridge's compares,
+        and the blocking counters agree with the outcome."""
+        alice, bob = live_servers
+        result, telemetry = run_client(runtime, net_fixture, alice, bob)
+        [root] = telemetry.trace()
+        [smc] = [span for span in root["children"] if span["name"] == "net.smc"]
+        names = [span["name"] for span in smc["children"]]
+        assert names.index("blocking") < names.index("select")
+        assert "blocking" not in (span["name"] for span in root["children"])
+        outcome = result.outcome
+        counter = telemetry.metrics.counter
+        assert (
+            counter("blocking.class_pairs").value
+            == len(result.left_view.classes) * len(result.right_view.classes)
+        )
+        assert counter("blocking.matched_class_pairs").value == len(
+            outcome.matched_class_pairs
+        )
+        assert (
+            counter("blocking.matched_record_pairs").value
+            == outcome.blocked_match_pairs
+        )
+        assert (
+            counter("blocking.nonmatch_record_pairs").value
+            == outcome.blocked_nonmatch_pairs
+        )
+        assert (
+            counter("blocking.unknown_record_pairs").value
+            == outcome.unknown_pairs
+        )
+        assert (
+            counter("select.pairs_scored").value
+            == counter("blocking.unknown_class_pairs").value
+            > 0
+        )
+
 
 class TestChannelEstimate:
     def test_paillier_oracle_reports_estimate_beside_measured_bytes(
