@@ -29,7 +29,9 @@ Boundary artifacts and their encodings:
 - *holder-link fetches* name ``[class_id, count]`` pairs and come back as
   the first ``min(count, class size)`` record projections of each class;
 - *Paillier ciphertexts* are hex strings (big-int safe at any key size)
-  tagged with the public modulus.
+  tagged with the public modulus, and decode only under the receiver's
+  own public key; a *public key* is its hex modulus and its hex
+  randomizer base ``h_s``.
 
 The handshake is versioned: ``hello``/``welcome`` carry
 :data:`PROTOCOL_NAME` and :data:`PROTOCOL_VERSION`, and a mismatch is
@@ -39,6 +41,7 @@ rejected before any other message is interpreted.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -107,6 +110,14 @@ def _expect_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(f"{what} must be a number, got {type(value).__name__}")
     return value
+
+
+def _expect_hex(value, what: str) -> int:
+    text = _expect_str(value, what)
+    try:
+        return int(text, 16)
+    except ValueError:
+        raise WireError(f"{what} {text!r} is not hex") from None
 
 
 def _get(obj: dict, key: str, what: str):
@@ -506,21 +517,22 @@ def decode_record_values(obj, expected_width: int) -> tuple:
 
 
 def encode_public_key(key: PaillierPublicKey) -> dict:
-    """Encode a Paillier public key (hex modulus, big-int safe)."""
-    return {"n": format(key.n, "x")}
+    """Encode a Paillier public key (hex modulus and randomizer base)."""
+    return {"n": format(key.n, "x"), "h_s": format(key.h_s, "x")}
 
 
 def decode_public_key(obj) -> PaillierPublicKey:
     """Decode and validate a Paillier public key."""
     key = _expect_dict(obj, "public key")
-    text = _expect_str(_get(key, "n", "public key"), "public key modulus")
-    try:
-        n = int(text, 16)
-    except ValueError:
-        raise WireError(f"public key modulus {text!r} is not hex") from None
+    n = _expect_hex(_get(key, "n", "public key"), "public key modulus")
     if n < 3:
         _fail(f"public key modulus {n} is too small")
-    return PaillierPublicKey(n)
+    h_s = _expect_hex(_get(key, "h_s", "public key"), "public key h_s")
+    if not 1 <= h_s < n * n:
+        _fail("public key h_s outside [1, n²)")
+    if math.gcd(h_s, n) != 1:
+        _fail("public key h_s is not a unit mod n")
+    return PaillierPublicKey(n, h_s)
 
 
 def encode_ciphertext(number: EncryptedNumber) -> dict:
@@ -531,15 +543,17 @@ def encode_ciphertext(number: EncryptedNumber) -> dict:
     }
 
 
-def decode_ciphertext(obj) -> EncryptedNumber:
-    """Decode and validate one Paillier ciphertext."""
+def decode_ciphertext(obj, key: PaillierPublicKey) -> EncryptedNumber:
+    """Decode and validate one Paillier ciphertext under the receiver's *key*.
+
+    The frame's modulus must be *key*'s: a ciphertext under any other key
+    is refused here rather than at decryption.
+    """
     entry = _expect_dict(obj, "ciphertext")
-    key = decode_public_key({"n": _get(entry, "n", "ciphertext")})
-    text = _expect_str(_get(entry, "c", "ciphertext"), "ciphertext value")
-    try:
-        ciphertext = int(text, 16)
-    except ValueError:
-        raise WireError(f"ciphertext {text!r} is not hex") from None
+    n = _expect_hex(_get(entry, "n", "ciphertext"), "ciphertext modulus")
+    if n != key.n:
+        _fail("ciphertext modulus differs from the receiver's public key")
+    ciphertext = _expect_hex(_get(entry, "c", "ciphertext"), "ciphertext")
     if not 0 <= ciphertext < key.n_squared:
         _fail("ciphertext outside the key's residue space")
     return EncryptedNumber(key, ciphertext)

@@ -32,6 +32,7 @@ from repro.net.wire import (
     decode_handle,
     decode_lease_matches,
     decode_leases,
+    decode_public_key,
     decode_record_values,
     decode_rule,
     decode_value,
@@ -42,6 +43,7 @@ from repro.net.wire import (
     encode_handle,
     encode_lease_matches,
     encode_leases,
+    encode_public_key,
     encode_record_values,
     encode_rule,
     encode_value,
@@ -206,9 +208,22 @@ class TestRoundTrips:
     def test_ciphertext_round_trip(self, plaintext_bits):
         ciphertext = plaintext_bits % KEY_PAIR.public_key.n_squared
         number = EncryptedNumber(KEY_PAIR.public_key, ciphertext)
-        decoded = decode_ciphertext(encode_ciphertext(number))
+        decoded = decode_ciphertext(
+            encode_ciphertext(number), KEY_PAIR.public_key
+        )
         assert decoded.ciphertext == number.ciphertext
-        assert decoded.public_key.n == KEY_PAIR.public_key.n
+        assert decoded.public_key == KEY_PAIR.public_key
+
+    def test_decoded_ciphertext_decrypts_under_the_real_key(self):
+        number = KEY_PAIR.public_key.encrypt(4242)
+        decoded = decode_ciphertext(
+            encode_ciphertext(number), KEY_PAIR.public_key
+        )
+        assert KEY_PAIR.private_key.decrypt(decoded) == 4242
+
+    def test_public_key_round_trip(self):
+        key = KEY_PAIR.public_key
+        assert decode_public_key(encode_public_key(key)) == key
 
     @given(
         st.lists(
@@ -444,21 +459,62 @@ class TestRuleRejection:
 
 class TestCiphertextRejection:
     def test_bad_hex(self):
+        key = KEY_PAIR.public_key
         with pytest.raises(WireError):
-            decode_ciphertext({"n": "zz", "c": "10"})
+            decode_ciphertext({"n": "zz", "c": "10"}, key)
         with pytest.raises(WireError):
-            decode_ciphertext(
-                {"n": format(KEY_PAIR.public_key.n, "x"), "c": "not-hex"}
-            )
+            decode_ciphertext({"n": format(key.n, "x"), "c": "not-hex"}, key)
 
     def test_ciphertext_outside_residue_space(self):
-        n = KEY_PAIR.public_key.n
+        key = KEY_PAIR.public_key
+        n = key.n
         with pytest.raises(WireError, match="residue"):
-            decode_ciphertext({"n": format(n, "x"), "c": format(n * n, "x")})
+            decode_ciphertext(
+                {"n": format(n, "x"), "c": format(n * n, "x")}, key
+            )
 
     def test_tiny_modulus(self):
         with pytest.raises(WireError):
-            decode_ciphertext({"n": "2", "c": "1"})
+            decode_ciphertext({"n": "2", "c": "1"}, KEY_PAIR.public_key)
+
+    def test_foreign_modulus(self):
+        foreign_n = format(KEY_PAIR.public_key.n + 2, "x")
+        with pytest.raises(WireError, match="differs"):
+            decode_ciphertext({"n": foreign_n, "c": "1"}, KEY_PAIR.public_key)
+
+
+class TestPublicKeyRejection:
+    @staticmethod
+    def encoded(**fields):
+        obj = encode_public_key(KEY_PAIR.public_key)
+        obj.update(fields)
+        return {name: value for name, value in obj.items() if value is not None}
+
+    def test_missing_h_s(self):
+        with pytest.raises(WireError, match="h_s"):
+            decode_public_key(self.encoded(h_s=None))
+
+    @pytest.mark.parametrize("h_s", ["not-hex", "", 17])
+    def test_non_hex_h_s(self, h_s):
+        with pytest.raises(WireError):
+            decode_public_key(self.encoded(h_s=h_s))
+
+    def test_h_s_outside_residue_range(self):
+        n = KEY_PAIR.public_key.n
+        for h_s in (0, n * n, -1):
+            with pytest.raises(WireError, match="outside"):
+                decode_public_key(self.encoded(h_s=format(h_s, "x")))
+
+    def test_h_s_sharing_a_factor_with_n(self):
+        p = KEY_PAIR.private_key.p
+        with pytest.raises(WireError, match="unit"):
+            decode_public_key(self.encoded(h_s=format(p, "x")))
+
+    def test_bad_modulus(self):
+        with pytest.raises(WireError):
+            decode_public_key(self.encoded(n="zz"))
+        with pytest.raises(WireError, match="too small"):
+            decode_public_key(self.encoded(n="2"))
 
 
 class TestHandshake:

@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.paillier import PaillierKeyPair
+from repro.crypto import paillier
+from repro.crypto.paillier import RANDOMIZER_BITS, PaillierKeyPair
+from repro.crypto.primes import generate_prime
 from repro.errors import CryptoError
 
 
@@ -25,6 +27,38 @@ class TestKeyGeneration:
 
     def test_ciphertext_wire_size(self, keys):
         assert keys.public_key.ciphertext_bytes == pytest.approx(64, abs=1)
+
+    def test_seeded_modulus_is_pinned(self, keys):
+        """The randomizer base is drawn after the primes: a seed's modulus
+        is the one it gave before keys published ``h_s``."""
+        assert keys.public_key.n == (
+            0xA45FC402C70CC3B960A1EDCC2EFE596FB8C8780776E8D8B545BD8F6862EEAB2D
+        )
+
+    def test_randomizer_base_drawn_after_the_primes(self, monkeypatch):
+        """Until the primes are accepted, only prime generation draws."""
+
+        class CountingRandom(random.Random):
+            draws = 0
+
+            def getrandbits(self, k):
+                self.draws += 1
+                return super().getrandbits(k)
+
+        rng = CountingRandom(1234)
+        spans = []
+
+        def counted_prime(bits, prime_rng):
+            start = prime_rng.draws
+            prime = generate_prime(bits, prime_rng)
+            spans.append((start, prime_rng.draws))
+            return prime
+
+        monkeypatch.setattr(paillier, "generate_prime", counted_prime)
+        PaillierKeyPair.generate(256, rng)
+        assert spans[0][0] == 0
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        assert rng.draws > spans[-1][1]
 
     def test_independent_keys_differ(self):
         first = PaillierKeyPair.generate(128, random.Random(1))
@@ -143,3 +177,31 @@ class TestCRTDecryption:
         )
         ciphertext = keys.public_key.encrypt(314159, rng)
         assert classic.decrypt(ciphertext) == 314159
+
+
+class TestRandomizer:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            st.sampled_from([0, 1, 2**RANDOMIZER_BITS - 1]),
+            st.integers(0, 2**RANDOMIZER_BITS - 1),
+        )
+    )
+    def test_table_matches_pow(self, keys, exponent):
+        key = keys.public_key
+        assert key._power_of_h_s(exponent) == pow(key.h_s, exponent, key.n_squared)
+
+    def test_randomizers_are_nth_residues(self, keys, rng):
+        """An n-th residue mod n² has order dividing λ."""
+        key, lam = keys.public_key, keys.private_key.lam
+        assert pow(key.h_s, lam, key.n_squared) == 1
+        for _ in range(20):
+            assert pow(key.randomizer(rng), lam, key.n_squared) == 1
+
+    def test_rerandomize_is_fresh_each_call(self, keys, rng):
+        original = keys.public_key.encrypt(2024, rng)
+        first = original.rerandomize(rng)
+        second = original.rerandomize(rng)
+        assert len({original.ciphertext, first.ciphertext, second.ciphertext}) == 3
+        assert keys.private_key.decrypt(first) == 2024
+        assert keys.private_key.decrypt(second) == 2024
