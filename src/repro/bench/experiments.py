@@ -152,16 +152,18 @@ def smc_timing(
     The key's fixed-base randomizer table is built (and reported) before
     the secure distance is timed, so that row is steady-state.
 
-    Next to the full protocol, the online row times the blinded threshold
-    comparison once Alice's ciphertexts exist — Bob's steps plus the
-    querying party's decryption — which is what each further pair of a
-    left record costs inside a budget lease.
+    Next to the full protocol, the online rows time the blinded threshold
+    comparison and the equality test once Alice's ciphertexts exist —
+    Bob's steps plus the querying party's decryption or zero test — which
+    is what each further pair of a left record costs inside a budget
+    lease.
     """
     from repro.crypto.smc.comparison import (
         default_magnitude_bound,
         finish_within_threshold,
     )
     from repro.crypto.smc.euclidean import alice_encrypts, secure_squared_distance
+    from repro.crypto.smc.hamming import alice_sends_hash, finish_equality
     from repro.crypto.paillier import PaillierKeyPair
     from repro.crypto.smc.channel import SMCSession
 
@@ -192,6 +194,14 @@ def smc_timing(
                 default_magnitude_bound(alice_value, bob_value, threshold),
             )
     online_seconds = online_span.duration / samples
+    # Bob blinds a reused E(h_a) over its table (built on arrival, as in
+    # a lease) and the querying party runs the zero test; half the pairs
+    # are equal, so both outcomes of the zero test are timed.
+    alice_hash = alice_sends_hash(session, "Masters")
+    with telemetry.span("timing.online_equality", samples=samples) as equality_span:
+        for sample in range(samples):
+            finish_equality(session, alice_hash, ("Masters", "9th")[sample % 2])
+    equality_seconds = equality_span.duration / samples
 
     from repro.anonymize import MaxEntropyTDS
     from repro.linkage.blocking import block
@@ -215,6 +225,7 @@ def smc_timing(
             round(online_seconds, 4),
             "-",
         ),
+        ("equality test, online / pair (s)", round(equality_seconds, 4), "-"),
         ("anonymize both sides (s)", round(anonymize_seconds, 3), 4.05),
         ("blocking step (s)", round(blocking_seconds, 3), 1.35),
         ("non-crypto ≈ N secure comparisons", round(equivalent, 1), 13),

@@ -22,7 +22,14 @@ Implementation notes:
 - decryption uses the CRT form (two half-size exponentiations, Garner
   recombination) whenever the private key holds ``p`` and ``q``, and the
   textbook form ``m = L(c^λ mod n²) · μ mod n`` with ``L(u) = (u - 1) / n``
-  otherwise;
+  otherwise. Two cheaper exact forms answer narrower questions with one
+  half-size exponentiation when they can: a zero test
+  (:meth:`PaillierPrivateKey.decrypts_to_zero`) and the signed decryption
+  of a plaintext under a public bound below ``p / 2``
+  (:meth:`PaillierPrivateKey.decrypt_signed_bounded`);
+- a party that scales one ciphertext by many scalars builds a fixed-base
+  table over it once (:meth:`EncryptedNumber.powers`, the same
+  :class:`FixedBase` helper as the randomizer's);
 - ciphertexts are :class:`EncryptedNumber` objects supporting ``+`` (both
   ciphertext-ciphertext and ciphertext-plaintext) and ``*`` by a plaintext
   scalar, so protocol code reads like arithmetic;
@@ -65,6 +72,58 @@ RANDOMIZER_BITS = 512
 #: multiplications per randomizer than their larger build costs.
 WINDOW_BITS = 5
 
+#: Window width of the table Bob builds over each ciphertext Alice sends
+#: (:meth:`EncryptedNumber.powers`); its exponents are full-size ρ. At
+#: 1024 bits one table costs 16, 28 or 45 ms to build at widths 1, 2 or 3,
+#: and a power over it 10.1, 7.9 or 5.9 ms, against 18.8 ms for ``pow``.
+#: On paillier-600's equality tests (4 ciphertexts with 2, 2, 13 and 13
+#: uses) build + powers took 0.291, 0.281 and 0.294 s (widths 1-3; width
+#: 4: 0.392 s), against 0.489 s with ``pow`` (best of 7, x86-64,
+#: CPython 3.11). A table breaks even at two uses, so every ciphertext
+#: gets one.
+CIPHERTEXT_WINDOW_BITS = 2
+
+
+class FixedBase:
+    """``base^e mod modulus`` for any ``e`` below ``2^exponent_bits``.
+
+    Row ``i`` of the table holds ``base^(d · 2^(window·i))`` for each
+    ``window``-bit digit ``d``, so a power costs one multiplication per
+    nonzero digit of the exponent and no squarings. Building the table
+    costs ``2^window − 1`` multiplications per row; it pays off when the
+    same base is raised to several exponents.
+    """
+
+    __slots__ = ("modulus", "window", "rows")
+
+    def __init__(self, base: int, modulus: int, exponent_bits: int, window: int):
+        self.modulus = modulus
+        self.window = window
+        rows = []
+        base %= modulus
+        for _ in range(-(-exponent_bits // window)):
+            row = [1, base]
+            for _ in range(2, 1 << window):
+                row.append(row[-1] * base % modulus)
+            rows.append(tuple(row))
+            base = row[-1] * base % modulus
+        self.rows = tuple(rows)
+
+    def power(self, exponent: int) -> int:
+        """``base^exponent mod modulus``; *exponent* must be in range."""
+        if exponent < 0 or exponent >> (self.window * len(self.rows)):
+            raise CryptoError("exponent outside the fixed-base table's range")
+        modulus = self.modulus
+        window = self.window
+        mask = (1 << window) - 1
+        result = 1
+        for row in self.rows:
+            digit = exponent & mask
+            if digit:
+                result = result * row[digit] % modulus
+            exponent >>= window
+        return result
+
 
 @dataclass(frozen=True)
 class PaillierPublicKey:
@@ -100,45 +159,20 @@ class PaillierPublicKey:
         return max(RANDOMIZER_BITS, (self.bits + 1) // 2)
 
     @cached_property
-    def randomizer_table(self) -> tuple[tuple[int, ...], ...]:
-        """Row ``i`` holds ``h_s^(d · 2^(WINDOW_BITS·i)) mod n²`` for each digit d.
+    def randomizer_table(self) -> "FixedBase":
+        """The fixed-base powers of ``h_s`` behind :meth:`randomizer`.
 
         Built on first use and cached on the key object (not a field, so
         it stays out of ``eq``, ``repr`` and the wire format).
         """
-        n_squared = self.n_squared
-        windows = -(-self.randomizer_bits // WINDOW_BITS)
-        base = self.h_s
-        table = []
-        for _ in range(windows):
-            row = [1, base]
-            for _ in range(2, 1 << WINDOW_BITS):
-                row.append(row[-1] * base % n_squared)
-            table.append(tuple(row))
-            base = row[-1] * base % n_squared
-        return tuple(table)
-
-    def _power_of_h_s(self, exponent: int) -> int:
-        """``h_s^exponent mod n²`` over the fixed-base table.
-
-        *exponent* must be below ``2^randomizer_bits``.
-        """
-        n_squared = self.n_squared
-        mask = (1 << WINDOW_BITS) - 1
-        result = 1
-        for row in self.randomizer_table:
-            digit = exponent & mask
-            if digit:
-                result = result * row[digit] % n_squared
-            exponent >>= WINDOW_BITS
-        return result
+        return FixedBase(self.h_s, self.n_squared, self.randomizer_bits, WINDOW_BITS)
 
     def randomizer(self, rng: random.Random) -> int:
         """A fresh blinding term ``h_s^a mod n²``.
 
         ``a`` is uniform below ``2^randomizer_bits``.
         """
-        return self._power_of_h_s(rng.getrandbits(self.randomizer_bits))
+        return self.randomizer_table.power(rng.getrandbits(self.randomizer_bits))
 
     def encrypt(
         self, plaintext: int, rng: random.Random | None = None
@@ -194,8 +228,7 @@ class PaillierPrivateKey:
 
     def decrypt(self, encrypted: "EncryptedNumber") -> int:
         """Decrypt to the raw plaintext in ``[0, n)``."""
-        if encrypted.public_key != self.public_key:
-            raise CryptoError("ciphertext was produced under a different key")
+        self._check_key(encrypted)
         if self._crt is not None:
             return self._decrypt_crt(encrypted.ciphertext)
         n = self.public_key.n
@@ -226,6 +259,47 @@ class PaillierPrivateKey:
         if raw > n // 2:
             return raw - n
         return raw
+
+    def decrypts_to_zero(self, encrypted: "EncryptedNumber") -> bool:
+        """Whether the plaintext is 0, usually at half a decryption's cost.
+
+        ``c^(p-1) mod p²`` is ``1`` exactly when the plaintext is 0 mod p
+        (see :meth:`_decrypt_crt`), so a nonzero plaintext is reported
+        after one half-size exponentiation. A plaintext that is 0 mod p
+        is confirmed mod q before "zero" is reported: multiples of p are
+        nonzero plaintexts too.
+        """
+        self._check_key(encrypted)
+        if self._crt is None:
+            return self.decrypt(encrypted) == 0
+        p_squared, q_squared = self._crt[:2]
+        ciphertext = encrypted.ciphertext
+        return (
+            pow(ciphertext, self.p - 1, p_squared) == 1
+            and pow(ciphertext, self.q - 1, q_squared) == 1
+        )
+
+    def decrypt_signed_bounded(self, encrypted: "EncryptedNumber", bound: int) -> int:
+        """:meth:`decrypt_signed` of a plaintext ``m`` known to satisfy
+        ``|m| <= bound``.
+
+        When ``2·bound < p``, ``m mod p`` alone determines ``m``: the
+        residues of ``[-bound, bound]`` mod p are distinct and the
+        negative ones lie above ``p // 2``. That costs one half-size
+        exponentiation instead of two. Larger bounds, and keys without
+        their factors, take the full decryption.
+        """
+        self._check_key(encrypted)
+        if self._crt is None or 2 * bound >= self.p:
+            return self.decrypt_signed(encrypted)
+        p = self.p
+        p_squared, h_p = self._crt[0], self._crt[2]
+        m_p = (pow(encrypted.ciphertext, p - 1, p_squared) - 1) // p * h_p % p
+        return m_p - p if m_p > p // 2 else m_p
+
+    def _check_key(self, encrypted: "EncryptedNumber") -> None:
+        if encrypted.public_key != self.public_key:
+            raise CryptoError("ciphertext was produced under a different key")
 
 
 @dataclass(frozen=True)
@@ -327,6 +401,18 @@ class EncryptedNumber:
         if isinstance(other, int):
             return self + (-other)
         return NotImplemented
+
+    def powers(self) -> FixedBase:
+        """A fixed-base table for ``self * k`` over many scalars ``k < n``.
+
+        ``EncryptedNumber(key, table.power(k))`` equals ``self * k``. A
+        party that scales one received ciphertext by several fresh
+        scalars builds this once; it holds only powers of the ciphertext.
+        """
+        key = self.public_key
+        return FixedBase(
+            self.ciphertext, key.n_squared, key.bits, CIPHERTEXT_WINDOW_BITS
+        )
 
     def rerandomize(self, rng: random.Random | None = None) -> "EncryptedNumber":
         """Refresh the blinding factor without changing the plaintext.

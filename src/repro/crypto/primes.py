@@ -1,7 +1,9 @@
 """Primality testing and prime generation for Paillier key material.
 
 Miller–Rabin with the deterministic witness sets that are proven exact for
-64-bit integers, falling back to random witnesses above that range. Prime
+64-bit integers, falling back to random witnesses above that range. Trial
+division by the primes up to 199 and one gcd against the primes below
+2^14 reject most composites before any Miller–Rabin round. Prime
 *generation* seeds candidates from a caller-supplied RNG so tests are
 reproducible, but the library defaults to ``secrets``-grade randomness via
 ``random.SystemRandom`` when no RNG is given.
@@ -9,6 +11,7 @@ reproducible, but the library defaults to ``secrets``-grade randomness via
 
 from __future__ import annotations
 
+import math
 import random
 
 from repro.errors import CryptoError
@@ -19,6 +22,25 @@ _SMALL_PRIMES = (
     71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139,
     149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199,
 )
+
+#: Every candidate is sieved against the primes below this bound
+#: (:data:`_SIEVE_PRIMORIAL`) before Miller-Rabin runs.
+_SIEVE_LIMIT = 1 << 14
+
+
+def _primorial(limit: int) -> int:
+    """The product of the primes below *limit* (sieve of Eratosthenes)."""
+    composite = bytearray(limit)
+    product = 1
+    for value in range(2, limit):
+        if not composite[value]:
+            product *= value
+            multiples = range(value * value, limit, value)
+            composite[value * value :: value] = b"\x01" * len(multiples)
+    return product
+
+
+_SIEVE_PRIMORIAL = _primorial(_SIEVE_LIMIT)
 
 # Deterministic witnesses: exact for n < 3,317,044,064,679,887,385,961,981.
 _DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -68,6 +90,14 @@ def is_probable_prime(
         witnesses = tuple(
             rng.randrange(2, candidate - 1) for _ in range(MILLER_RABIN_ROUNDS)
         )
+    # One gcd rejects most composites that trial division let through, at
+    # a fraction of a Miller-Rabin round's cost. It runs after the
+    # witnesses are drawn, so the RNG stream, and with it every prime a
+    # seeded RNG generates, stays what it was without the sieve. Below
+    # _SIEVE_LIMIT (< 211²) a candidate without a factor up to 199 is
+    # prime, so a shared factor there is the candidate itself.
+    if math.gcd(candidate, _SIEVE_PRIMORIAL) != 1:
+        return candidate < _SIEVE_LIMIT
     return all(
         _miller_rabin_round(candidate, witness, odd, twos)
         for witness in witnesses

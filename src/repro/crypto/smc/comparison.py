@@ -12,7 +12,9 @@ that combination for the squared-Euclidean protocol:
    equals the sign of ``m`` — re-randomizes, and forwards to the querying
    party;
 4. the querying party decrypts with signed decoding and reports
-   ``rho * m <= 0``.
+   ``rho * m <= 0``. ``|rho * m|`` has a public bound far below ``p / 2``
+   at the paper's key sizes, so it decrypts mod ``p`` alone
+   (:meth:`~repro.crypto.paillier.PaillierPrivateKey.decrypt_signed_bounded`).
 
 Leakage analysis (documented, as the paper leaves the comparison abstract):
 the querying party sees ``rho * m`` for uniform ``rho`` in ``[1, R)``. The
@@ -67,7 +69,15 @@ def finish_within_threshold(
     session.transcript.record_operation("homomorphic_scale", 1)
     session.transcript.record_operation("rerandomize", 1)
     session.send_ciphertexts(BOB, QUERY, 1)
-    signed = session.private_key.decrypt_signed(blinded)
+    # A public bound on |rho * margin| lets the querying party decrypt mod
+    # p alone. The margin's operands are rounded encodings, so |margin|
+    # can exceed encoded_bound by the rounding (e.g. 1.00015 and -1.00015
+    # at precision 4); twice the bound plus the encoded threshold covers
+    # that, since (x + 1)² <= 2x² + 2.
+    plaintext_bound = session.blinder_ceiling(encoded_bound) * (
+        2 * (encoded_bound + encoded_threshold) + 4
+    )
+    signed = session.private_key.decrypt_signed_bounded(blinded, plaintext_bound)
     session.transcript.record_operation("decrypt", 1)
     return signed <= 0
 

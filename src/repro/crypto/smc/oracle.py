@@ -33,7 +33,7 @@ from repro.crypto.smc.comparison import (
     finish_within_threshold,
 )
 from repro.crypto.smc.euclidean import alice_encrypts, finish_squared_distance
-from repro.crypto.smc.hamming import alice_encrypts_hash, finish_equality
+from repro.crypto.smc.hamming import alice_sends_hash, finish_equality
 from repro.data.schema import Record, Schema
 from repro.errors import ConfigurationError, ProtocolError
 from repro.linkage.columns import (
@@ -278,7 +278,8 @@ class PaillierSMCOracle(SMCOracle):
 
     Within one :meth:`compare_block` call Alice encrypts each left row's
     value for an attribute at most once, when the first pair reaches that
-    attribute; Bob's steps and the querying party's decryption run per
+    attribute, and Bob builds the fixed-base table of each ``E(h_a)`` as
+    it arrives; Bob's steps and the querying party's decryption run per
     pair, and each ciphertext Bob forwards is re-randomized exactly once.
 
     Parameters
@@ -364,7 +365,7 @@ class PaillierSMCOracle(SMCOracle):
                 )
             elif attribute.is_string or attribute.threshold < 1:
                 self.attribute_comparisons += 1
-                alice = left_row.alice_step(index, alice_encrypts_hash)
+                alice = left_row.alice_step(index, alice_sends_hash)
                 if not finish_equality(session, alice, right_value):
                     return False
             # Hamming threshold >= 1 can never be exceeded: no protocol run.
@@ -377,6 +378,8 @@ class _AliceRow:
     Alice's step for an attribute depends only on her value, so it runs
     on first use and its ciphertexts go to Bob once; every later pair of
     the row reuses them, and Bob's forwarded ciphertexts stay fresh.
+    Bob's fixed-base tables over ``E(h_a)`` live here too, and go with
+    the row when :meth:`SMCOracle.compare_block` returns.
     """
 
     __slots__ = ("values", "_session", "_sent")

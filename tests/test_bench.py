@@ -146,6 +146,7 @@ class TestDrivers:
         values = dict((row[0], row[1]) for row in table.rows)
         assert values["secure distance / attribute (s)"] > 0
         assert values["blinded comparison, online / pair (s)"] > 0
+        assert values["equality test, online / pair (s)"] > 0
         assert values["randomizer table build (s)"] > 0
 
     def test_experiment_registry_complete(self):

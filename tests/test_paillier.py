@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import paillier
-from repro.crypto.paillier import RANDOMIZER_BITS, PaillierKeyPair
+from repro.crypto.paillier import (
+    RANDOMIZER_BITS,
+    FixedBase,
+    PaillierKeyPair,
+    PaillierPrivateKey,
+)
 from repro.crypto.primes import generate_prime
 from repro.errors import CryptoError
 
@@ -59,6 +64,19 @@ class TestKeyGeneration:
         assert spans[0][0] == 0
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
         assert rng.draws > spans[-1][1]
+
+    def test_seeded_1024_bit_modulus_is_pinned(self):
+        """Key seed 496 at 1024 bits is the paillier-600 benchmark's key;
+        the prime sieve must not change which primes a seed yields."""
+        key = PaillierKeyPair.generate(1024, random.Random(496)).public_key
+        assert key.n == int(
+            "965ebb665cfb27b957761b680ba971493b4f85c1144dd7c781292764189941"
+            "739a5d5478c05f384ddcf5b7c8995ab3d773c7e627686d689d3b75f0d1cff4"
+            "4668d4137af124ab85534b194162f404c8681411efccca3f1b39ced7853f5c"
+            "1182dafa3cdf4d11047f3c75b6ebd72a83fc8be8fbba4b5274566d9eba58f0"
+            "270f6087",
+            16,
+        )
 
     def test_independent_keys_differ(self):
         first = PaillierKeyPair.generate(128, random.Random(1))
@@ -189,7 +207,9 @@ class TestRandomizer:
     )
     def test_table_matches_pow(self, keys, exponent):
         key = keys.public_key
-        assert key._power_of_h_s(exponent) == pow(key.h_s, exponent, key.n_squared)
+        assert key.randomizer_table.power(exponent) == pow(
+            key.h_s, exponent, key.n_squared
+        )
 
     def test_randomizers_are_nth_residues(self, keys, rng):
         """An n-th residue mod n² has order dividing λ."""
@@ -205,3 +225,111 @@ class TestRandomizer:
         assert len({original.ciphertext, first.ciphertext, second.ciphertext}) == 3
         assert keys.private_key.decrypt(first) == 2024
         assert keys.private_key.decrypt(second) == 2024
+
+
+class TestFixedBase:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 2**64),
+        st.sampled_from([1, 2, 3, 5]),
+        st.integers(1, 160),
+        st.data(),
+    )
+    def test_power_matches_pow(self, base, window, bits, data):
+        modulus = 2**127 - 1
+        exponent = data.draw(
+            st.one_of(
+                st.sampled_from([0, 1, 2**bits - 1]),
+                st.integers(0, 2**bits - 1),
+            )
+        )
+        table = FixedBase(base, modulus, bits, window)
+        assert table.power(exponent) == pow(base, exponent, modulus)
+
+    def test_rejects_exponents_outside_the_table(self):
+        table = FixedBase(3, 1009, 8, 2)
+        assert table.power(255) == pow(3, 255, 1009)
+        with pytest.raises(CryptoError):
+            table.power(256)
+        with pytest.raises(CryptoError):
+            table.power(-1)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.one_of(
+            st.sampled_from([0, 1, 2, 2**64]),
+            st.integers(0, 2**256),
+        )
+    )
+    def test_ciphertext_powers_equal_scaling(self, keys, scalar):
+        key = keys.public_key
+        scalar %= key.n
+        ciphertext = key.encrypt(1234, random.Random(scalar))
+        assert ciphertext.powers().power(scalar) == (ciphertext * scalar).ciphertext
+
+
+def _without_factors(keys):
+    private = keys.private_key
+    return PaillierPrivateKey(keys.public_key, private.lam, private.mu)
+
+
+class TestZeroTest:
+    def test_plaintexts(self, keys, rng):
+        key, private = keys.public_key, keys.private_key
+        p, q = private.p, private.q
+        cases = {0: True, 1: False, 42: False, key.n - 1: False}
+        # Zero mod one prime only: the mod-p shortcut alone would say "zero".
+        for k in (1, 2, q - 1):
+            cases[k * p] = False
+        for k in (1, 2, p - 1):
+            cases[k * q] = False
+        for plaintext, expected in cases.items():
+            ciphertext = key.encrypt(plaintext, rng)
+            assert private.decrypts_to_zero(ciphertext) is expected
+            assert _without_factors(keys).decrypts_to_zero(ciphertext) is expected
+
+    def test_homomorphic_zero(self, keys, rng):
+        key = keys.public_key
+        difference = key.encrypt(77, rng) - key.encrypt(77, rng)
+        assert keys.private_key.decrypts_to_zero(difference * 123456789)
+
+    def test_foreign_key_rejected(self, keys, rng):
+        other = PaillierKeyPair.generate(160, random.Random(6))
+        with pytest.raises(CryptoError):
+            keys.private_key.decrypts_to_zero(other.public_key.encrypt(0, rng))
+
+
+class TestBoundedDecryption:
+    def test_within_half_of_p_decrypts_mod_p(self, keys, rng):
+        key, private = keys.public_key, keys.private_key
+        p = private.p
+        for bound in (1, 2**40, p // 2 - 1, p // 2):
+            assert 2 * bound < p
+            for value in (-bound, -bound + 1, 0, bound - 1, bound):
+                ciphertext = key.encrypt_signed(value, rng)
+                assert private.decrypt_signed_bounded(ciphertext, bound) == value
+        # Just outside the bound the mod-p shortcut shows: B + 1 comes back
+        # as B + 1 - p, which a full decryption would not return.
+        bound = p // 2
+        ciphertext = key.encrypt_signed(bound + 1, rng)
+        assert private.decrypt_signed_bounded(ciphertext, bound) == bound + 1 - p
+        assert private.decrypt_signed(ciphertext) == bound + 1
+
+    def test_bounds_of_half_p_and_above_fall_back(self, rng):
+        keys = PaillierKeyPair.generate(128, random.Random(3))
+        key, private = keys.public_key, keys.private_key
+        p = private.p
+        for bound in ((p + 1) // 2, p, key.n // 2):
+            assert 2 * bound >= p
+            for value in (-bound, -bound + 1, bound - 1, bound, bound + 1):
+                if abs(value) > key.n // 2:
+                    continue
+                ciphertext = key.encrypt_signed(value, rng)
+                assert private.decrypt_signed_bounded(ciphertext, bound) == value
+
+    def test_key_without_factors(self, keys, rng):
+        key = keys.public_key
+        classic = _without_factors(keys)
+        for value in (-(2**40), -1, 0, 1, 2**40):
+            ciphertext = key.encrypt_signed(value, rng)
+            assert classic.decrypt_signed_bounded(ciphertext, 2**40) == value

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.crypto.primes import (
+    MILLER_RABIN_ROUNDS,
     generate_distinct_primes,
     generate_prime,
     is_probable_prime,
@@ -23,6 +24,16 @@ KNOWN_COMPOSITES = [
     2465, 6601, 8911, 104730, 2**32, 7919 * 104729,
 ]
 
+# Primes past trial division (> 199) but below the sieve's 2^14.
+SIEVE_PRIMES = [211, 223, 8191, 12289, 16381]
+
+# Smallest factor in (199, 2^14): trial division passes them, the sieve
+# does not. The last one is above the deterministic bound.
+SIEVE_COMPOSITES = [
+    211 * 211, 211 * 223, 16381 * 16381, 12289 * (2**61 - 1),
+    16381 * (2**89 - 1),
+]
+
 
 class TestIsProbablePrime:
     @pytest.mark.parametrize("prime", KNOWN_PRIMES)
@@ -32,6 +43,25 @@ class TestIsProbablePrime:
     @pytest.mark.parametrize("composite", KNOWN_COMPOSITES)
     def test_rejects_composites(self, composite):
         assert not is_probable_prime(composite)
+
+    @pytest.mark.parametrize("prime", SIEVE_PRIMES)
+    def test_accepts_primes_inside_the_sieve(self, prime):
+        assert is_probable_prime(prime, random.Random(1))
+
+    @pytest.mark.parametrize("composite", SIEVE_COMPOSITES)
+    def test_sieve_rejects_composites_past_trial_division(self, composite):
+        assert not is_probable_prime(composite, random.Random(1))
+
+    def test_sieve_runs_after_the_witnesses_are_drawn(self):
+        """A sieved composite consumes the same draws as one Miller-Rabin
+        rejects, so seeded prime generation is unchanged by the sieve."""
+        candidate = 16381 * (2**89 - 1)
+        rng = random.Random(8)
+        is_probable_prime(candidate, rng)
+        expected = random.Random(8)
+        for _ in range(MILLER_RABIN_ROUNDS):
+            expected.randrange(2, candidate - 1)
+        assert rng.getstate() == expected.getstate()
 
     def test_negative(self):
         assert not is_probable_prime(-7)
