@@ -40,11 +40,11 @@ class MaxEntropyTDS(TopDownSpecializer):
     TDS, which directly improves blocking efficiency.
     """
 
-    def _score(self, attr_position, indices, groups):
+    def _score(self, indices, sizes, counts):
         """Every valid specialization is beneficial; prefer high entropy.
 
         A single-branch split has entropy 0 but is still performed when
         nothing better exists: it makes the sequence strictly more specific
         at no anonymity cost, which can only help blocking.
         """
-        return branch_entropy([len(group) for group in groups.values()])
+        return branch_entropy(list(sizes.values()))
