@@ -31,6 +31,7 @@ from repro.anonymize.base import (
     group_by_sequence,
     max_generalization_depth,
 )
+from repro.anonymize.topdown import ChildLookup
 from repro.data.schema import Relation
 
 
@@ -45,15 +46,19 @@ class DataFly(Anonymizer):
         positions = relation.schema.positions(qids)
         hierarchy_list = [self.hierarchies[name] for name in qids]
         depths = [max_generalization_depth(hierarchy) for hierarchy in hierarchy_list]
-        columns = [
-            [record[position] for record in relation] for position in positions
+        # One lookup per QID: it checks the domain and numbers the distinct
+        # values, so each level generalizes every distinct value once.
+        lookups = [
+            ChildLookup(
+                hierarchy,
+                [record[position] for record in relation],
+                specialize_points=False,
+            )
+            for position, hierarchy in zip(positions, hierarchy_list)
         ]
         generalized = [
-            [
-                generalize_value(hierarchy, value, depth)
-                for value in column
-            ]
-            for hierarchy, column, depth in zip(hierarchy_list, columns, depths)
+            _generalize_column(lookup, depth)
+            for lookup, depth in zip(lookups, depths)
         ]
         while True:
             sequences = list(zip(*generalized))
@@ -65,11 +70,9 @@ class DataFly(Anonymizer):
                 # Everything is at the root; no further generalization exists.
                 break
             depths[attr_position] -= 1
-            hierarchy = hierarchy_list[attr_position]
-            generalized[attr_position] = [
-                generalize_value(hierarchy, value, depths[attr_position])
-                for value in columns[attr_position]
-            ]
+            generalized[attr_position] = _generalize_column(
+                lookups[attr_position], depths[attr_position]
+            )
         sequences = list(zip(*generalized))
         counts = Counter(sequences)
         root_sequence = tuple(hierarchy.root for hierarchy in hierarchy_list)
@@ -103,3 +106,10 @@ class DataFly(Anonymizer):
                 best_distinct = distinct
                 best = attr_position
         return best
+
+
+def _generalize_column(lookup: ChildLookup, depth: int) -> list:
+    """Every record's value of *lookup*'s column generalized to *depth*."""
+    hierarchy = lookup.hierarchy
+    generalized = [generalize_value(hierarchy, value, depth) for value in lookup.values]
+    return list(map(generalized.__getitem__, lookup.codes))
