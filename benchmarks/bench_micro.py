@@ -127,6 +127,26 @@ class TestLinkageMicro:
         )
 
 
+#: The anonymizer's k sweep: k=1 and 2 split thousands of tiny partitions
+#: (per-split overhead dominates), 32 is the paper's operating point and
+#: 256 leaves few, large partitions (per-record counting dominates).
+ANONYMIZE_K_SWEEP = (1, 2, 8, 32, 256)
+
+
+class TestAnonymizeKSweep:
+    @pytest.mark.parametrize("k", ANONYMIZE_K_SWEEP)
+    def test_max_entropy_tds(self, benchmark, data, k):
+        from repro.anonymize import MaxEntropyTDS
+
+        relation = data.pair.left
+        qids = data.config.qids()
+        anonymizer = MaxEntropyTDS(data.hierarchies)
+        generalized = benchmark.pedantic(
+            anonymizer.anonymize, args=(relation, qids, k), rounds=3, iterations=1
+        )
+        assert generalized.is_k_anonymous(k)
+
+
 # ---------------------------------------------------------------------------
 # Blocking-engine race: scalar loop vs numpy kernel, tracked across PRs.
 # ---------------------------------------------------------------------------
