@@ -48,18 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=2008, help="experiment seed"
     )
     parser.add_argument(
-        "--executor",
-        choices=("serial", "thread", "process"),
-        default="serial",
-        help="pipeline executor backend for sharded stages",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="shard count for the staged pipeline (default: 1, serial path)",
-    )
-    parser.add_argument(
         "--json",
         default=None,
         metavar="FILE",
@@ -103,7 +91,6 @@ def main(argv: list[str] | None = None) -> int:
     extra = (
         {"telemetry": telemetry} if (args.metrics_out or args.progress) else {}
     )
-    extra.update(executor=args.executor, shards=args.shards)
     if args.records is not None:
         config = BenchConfig(
             source_records=args.records, seed=args.seed, **extra
@@ -154,8 +141,6 @@ def main(argv: list[str] | None = None) -> int:
                 "experiments": selected,
                 "source_records": config.source_records,
                 "seed": config.seed,
-                "executor": config.executor,
-                "shards": config.shards,
             },
         )
         print(f"wrote run report to {args.metrics_out}")

@@ -59,8 +59,6 @@ def _run(
         heuristic=heuristic or HEURISTICS["minAvgFirst"],
         strategy=strategy or STRATEGIES["maximize-precision"],
         telemetry=data.telemetry,
-        executor=data.config.executor,
-        shards=data.config.shards,
     )
     left, right = data.anonymized(k, qid_count, algorithm)
     blocking = data.blocking(k, theta, qid_count, algorithm)

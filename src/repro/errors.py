@@ -37,13 +37,12 @@ class ConfigurationError(ReproError):
 
 
 class PipelineError(ReproError):
-    """A staged pipeline run broke an internal invariant.
+    """A linkage run broke an internal invariant.
 
-    Raised when shard results cannot be reconciled against the global
-    run state — e.g. the SMC stage consumed a different number of record
-    pairs than its budget leases granted. These are library bugs or
-    corrupted executor results, never user configuration mistakes (those
-    raise :class:`ConfigurationError`).
+    Raised when the SMC step's oracle bills a different number of
+    invocations than the record pairs its budget leases granted. That is a
+    bug in the library or in a custom oracle, never a user configuration
+    mistake (those raise :class:`ConfigurationError`).
     """
 
 

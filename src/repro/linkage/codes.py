@@ -1,12 +1,10 @@
-"""Integer-code tables behind the vectorized linkage engines.
+"""Integer-code tables behind the blocking and scoring kernels.
 
-The scalar blocking engine already memoizes per-attribute slack verdicts
-over *distinct* generalized value pairs (the tables of
-``blocking._attribute_verdicts``). The numpy engine takes the same idea one
-step further: the distinct values of each side are enumerated into integer
-*codes*, the per-attribute decision tables become dense matrices indexed by
-``[left_code, right_code]``, and whole class-pair cross products evaluate
-as fancy-indexed gathers plus boolean reductions instead of a Python loop.
+The distinct generalized values of each side are enumerated into integer
+*codes*, the per-attribute decision tables become dense matrices indexed
+by ``[left_code, right_code]``, and whole class-pair cross products
+evaluate as fancy-indexed gathers plus boolean reductions instead of a
+Python loop over class pairs.
 
 Two matrices exist per rule attribute, built lazily because different
 consumers need different ones:
@@ -18,11 +16,11 @@ consumers need different ones:
   — drives the selection heuristics and the learned leftover classifier.
 
 Matrix sizes are ``|distinct left values| x |distinct right values|`` per
-attribute, which is tiny next to the number of class pairs: building them
-costs exactly the same :func:`~repro.linkage.slack.attribute_slack` /
-:func:`~repro.linkage.expected.normalized_expected_distance` calls the
-scalar caches would eventually make, so the two engines agree bit-for-bit
-on every decision and score.
+attribute, which is tiny next to the number of class pairs. Every entry
+comes from the scalar :func:`~repro.linkage.slack.attribute_slack` /
+:func:`~repro.linkage.expected.normalized_expected_distance` rules (or a
+broadcast that reproduces them bit for bit), so each decision and score
+equals the per-pair scalar computation.
 """
 
 from __future__ import annotations
@@ -32,6 +30,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.anonymize.base import EquivalenceClass, GeneralizedRelation
+from repro.errors import ConfigurationError
 from repro.linkage.distances import MatchRule
 from repro.linkage.expected import pairwise_expected_distances
 from repro.linkage.slack import as_interval, attribute_slack
@@ -154,8 +153,8 @@ class CodeTables:
     def verdict_matrix(self, attr_position: int) -> np.ndarray:
         """``V_a[left_code, right_code] in {0, 1, 2}`` for one attribute.
 
-        Semantics match ``blocking._attribute_verdicts``: 0 = undecided,
-        1 = certain non-match, 2 = certainly within threshold.
+        0 = undecided, 1 = certain non-match, 2 = certainly within
+        threshold.
         """
         matrix = self._verdicts[attr_position]
         if matrix is None:
@@ -198,12 +197,12 @@ class CodeTables:
             self._expected[attr_position] = matrix
         return matrix
 
-    def pair_positions(self, pairs) -> tuple[np.ndarray, np.ndarray] | None:
+    def pair_positions(self, pairs) -> tuple[np.ndarray, np.ndarray]:
         """Class indices ``(left_idx, right_idx)`` for a ClassPair sequence.
 
-        Returns ``None`` when some pair references a class that is not part
-        of the relations these tables were built from (callers then fall
-        back to the scalar path).
+        Raises :class:`ConfigurationError` when some pair references a
+        class that is not part of the relations these tables were built
+        from.
         """
         if self._left_index is None:
             self._left_index = {
@@ -219,7 +218,10 @@ class CodeTables:
             left_position = self._left_index.get(pair.left)
             right_position = self._right_index.get(pair.right)
             if left_position is None or right_position is None:
-                return None
+                raise ConfigurationError(
+                    f"class pair {pair.describe()} names a class outside "
+                    "the given relations"
+                )
             left_idx[position] = left_position
             right_idx[position] = right_position
         return left_idx, right_idx
@@ -230,8 +232,7 @@ class CodeTables:
         """Expected-distance matrix of shape ``(len(pairs), len(rule))``.
 
         Row ``n`` is the per-attribute expected-distance vector of the
-        class pair ``(left_idx[n], right_idx[n])`` — the vectorized
-        equivalent of ``ExpectedDistanceCache.vector``.
+        class pair ``(left_idx[n], right_idx[n])``.
         """
         columns = [
             self.expected_matrix(attr_position)[

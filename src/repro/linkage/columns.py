@@ -10,7 +10,8 @@ the two pieces every layer shares for that work:
   once, column by column: ``float64`` arrays for continuous attributes
   and integer codes into a first-seen vocabulary for categorical ones;
 - :class:`BlockLease` — one budget lease, ``(left rows, right rows,
-  take)``, with each class given as row indices into its side's columns.
+  take)``, with each class given as row indices into its side's columns;
+  :func:`plan_leases` turns the SMC allowance into the takes.
 
 Codes are local to one :class:`RecordColumns`; :func:`shared_codes` puts
 two sides' codes into one vocabulary covering both before they are
@@ -40,6 +41,27 @@ class BlockLease(NamedTuple):
     left_rows: np.ndarray
     right_rows: np.ndarray
     take: int
+
+
+def plan_leases(
+    sized_items: Sequence[int], budget: int
+) -> tuple[list[int], int]:
+    """Greedy prefix budget leases over item sizes.
+
+    Returns ``(takes, consumed)`` where ``takes[i] = min(remaining,
+    sized_items[i])`` stops as soon as the budget is exhausted —
+    ``len(takes)`` items received a (possibly partial, only ever the
+    last) lease and the rest received nothing.
+    """
+    takes: list[int] = []
+    remaining = budget
+    for size in sized_items:
+        if remaining <= 0:
+            break
+        take = min(remaining, size)
+        takes.append(take)
+        remaining -= take
+    return takes, budget - remaining
 
 
 def check_leases(leases: Sequence[BlockLease]) -> None:

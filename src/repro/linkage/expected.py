@@ -104,10 +104,10 @@ def expected_distance_vector(
 def pairwise_expected_distances(attribute: MatchAttribute, left_values, right_values):
     """Dense ``E[i, j]`` table over two distinct-value lists.
 
-    The expected-distance matrix the vectorized engines gather from (see
+    The expected-distance matrix the scoring kernel gathers from (see
     :mod:`repro.linkage.codes`). Entries are exactly the values
-    :func:`normalized_expected_distance` returns, so vectorized scores are
-    bit-identical to the scalar cache's.
+    :func:`normalized_expected_distance` returns, so kernel scores are
+    bit-identical to per-pair scalar scores.
     """
     import numpy as np
 

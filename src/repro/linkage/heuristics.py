@@ -16,16 +16,12 @@ training sample.
 All heuristics sort class pairs ascending by a score; ties break towards
 smaller class pairs (cheaper certainty first) and then deterministically by
 class position ``(left, right)`` in the input relations, so runs are
-reproducible and engine-independent. (Pairs whose classes do not belong to
-the given relations fall back to a rendering-based tie-break.)
+reproducible. A class pair whose classes do not belong to the given
+relations is a :class:`~repro.errors.ConfigurationError`.
 
-Like blocking, ordering runs on one of two engines: the scalar path scores
-pairs one tuple at a time through :class:`ExpectedDistanceCache`; the
-numpy path gathers per-attribute expected-distance matrices through the
+Ordering gathers per-attribute expected-distance matrices through the
 shared code tables (:mod:`repro.linkage.codes`) and reduces hundreds of
-thousands of class pairs to one ``np.lexsort``. Scores are bit-identical
-(same distance values, same floating-point operation order), so the two
-engines produce the same ordering.
+thousands of class pairs to one ``np.lexsort``.
 """
 
 from __future__ import annotations
@@ -34,9 +30,12 @@ import abc
 import random
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro._rng import make_random
 from repro.anonymize.base import GeneralizedRelation
-from repro.linkage.blocking import ClassPair, ExpectedDistanceCache, resolve_engine
+from repro.linkage.blocking import ClassPair
+from repro.linkage.codes import CodeTables
 from repro.linkage.distances import MatchRule
 from repro.obs import NOOP_TELEMETRY, Telemetry
 
@@ -45,12 +44,6 @@ class SelectionHeuristic(abc.ABC):
     """Orders unknown class pairs for SMC consumption."""
 
     name: str = "abstract"
-    #: Whether the pipeline may split scoring across shards: requires a
-    #: stateless, picklable ``score``/``score_array`` and an ordering that
-    #: is exactly "sort by (score, size, class positions)". Heuristics
-    #: that override :meth:`order` wholesale (e.g. random shuffling) must
-    #: opt out.
-    shardable: bool = True
 
     def order(
         self,
@@ -58,32 +51,27 @@ class SelectionHeuristic(abc.ABC):
         rule: MatchRule,
         left: GeneralizedRelation,
         right: GeneralizedRelation,
-        engine: str = "auto",
         telemetry: Telemetry = NOOP_TELEMETRY,
     ) -> list[ClassPair]:
         """Return *unknown* in consumption order (best candidates first)."""
         if not unknown:
             return []
-        resolved = resolve_engine(engine, len(unknown))
         with telemetry.span(
-            f"select.score.{resolved}", heuristic=self.name, pairs=len(unknown)
+            "select.score.numpy", heuristic=self.name, pairs=len(unknown)
         ):
             telemetry.counter("select.pairs_scored").add(len(unknown))
             telemetry.emit_progress(
                 "select", 0, len(unknown), unit="pairs", heuristic=self.name
             )
-            if resolved == "numpy":
-                ordered = self._order_numpy(unknown, rule, left, right)
-                if ordered is not None:
-                    telemetry.emit_progress(
-                        "select",
-                        len(unknown),
-                        len(unknown),
-                        unit="pairs",
-                        heuristic=self.name,
-                    )
-                    return ordered
-            ordered = self._order_python(unknown, rule, left, right)
+            tables = CodeTables(rule, left, right)
+            left_idx, right_idx = tables.pair_positions(unknown)
+            scores = self.score_array(
+                tables.expected_for_pairs(left_idx, right_idx)
+            )
+            sizes = tables.left_sizes[left_idx] * tables.right_sizes[right_idx]
+            # lexsort keys run least- to most-significant: score, then
+            # size, then (left, right) class position.
+            order = np.lexsort((right_idx, left_idx, sizes, scores))
             telemetry.emit_progress(
                 "select",
                 len(unknown),
@@ -91,65 +79,7 @@ class SelectionHeuristic(abc.ABC):
                 unit="pairs",
                 heuristic=self.name,
             )
-            return ordered
-
-    def _order_python(
-        self,
-        unknown: Sequence[ClassPair],
-        rule: MatchRule,
-        left: GeneralizedRelation,
-        right: GeneralizedRelation,
-    ) -> list[ClassPair]:
-        """Scalar ordering via the memoized expected-distance cache."""
-        cache = ExpectedDistanceCache(rule, left, right)
-        left_index = {eq_class: i for i, eq_class in enumerate(left.classes)}
-        right_index = {eq_class: i for i, eq_class in enumerate(right.classes)}
-        decorated = []
-        for pair in unknown:
-            left_position = left_index.get(pair.left)
-            right_position = right_index.get(pair.right)
-            if left_position is None or right_position is None:
-                # Foreign classes: no stable positions exist, so the whole
-                # batch tie-breaks on the rendered sequences instead.
-                decorated = [
-                    (self.score(cache.vector(p)), p.size, p.describe(), p)
-                    for p in unknown
-                ]
-                break
-            decorated.append(
-                (
-                    self.score(cache.vector(pair)),
-                    pair.size,
-                    (left_position, right_position),
-                    pair,
-                )
-            )
-        decorated.sort(key=lambda item: item[:3])
-        return [item[3] for item in decorated]
-
-    def _order_numpy(
-        self,
-        unknown: Sequence[ClassPair],
-        rule: MatchRule,
-        left: GeneralizedRelation,
-        right: GeneralizedRelation,
-    ) -> list[ClassPair] | None:
-        """Vectorized ordering; ``None`` defers to the scalar path."""
-        import numpy as np
-
-        from repro.linkage.codes import CodeTables
-
-        tables = CodeTables(rule, left, right)
-        positions = tables.pair_positions(unknown)
-        if positions is None:
-            return None
-        left_idx, right_idx = positions
-        scores = self.score_array(tables.expected_for_pairs(left_idx, right_idx))
-        sizes = tables.left_sizes[left_idx] * tables.right_sizes[right_idx]
-        # lexsort keys run least- to most-significant: score, then size,
-        # then (left, right) class position — the scalar sort key.
-        order = np.lexsort((right_idx, left_idx, sizes, scores))
-        return [unknown[position] for position in order.tolist()]
+            return [unknown[position] for position in order.tolist()]
 
     @abc.abstractmethod
     def score(self, vector: tuple[float, ...]) -> float:
@@ -163,8 +93,6 @@ class SelectionHeuristic(abc.ABC):
         numpy reductions that reproduce the scalar floating-point results
         exactly.
         """
-        import numpy as np
-
         return np.array(
             [self.score(tuple(row)) for row in matrix.tolist()],
             dtype=np.float64,
@@ -216,17 +144,11 @@ class RandomSelection(SelectionHeuristic):
     """Uniformly random order (ablation baseline; required by strategy 3)."""
 
     name = "random"
-    #: The shuffle is sequential RNG consumption; sharding cannot
-    #: reproduce it, so the pipeline always runs this one serially.
-    shardable = False
 
     def __init__(self, seed: int | random.Random | None = None):
         self._rng = make_random(seed)
 
-    def order(
-        self, unknown, rule, left, right, engine="auto",
-        telemetry=NOOP_TELEMETRY,
-    ):
+    def order(self, unknown, rule, left, right, telemetry=NOOP_TELEMETRY):
         with telemetry.span(
             "select.shuffle", heuristic=self.name, pairs=len(unknown)
         ):
@@ -250,29 +172,19 @@ def average_expected_scores(
     rule: MatchRule,
     left: GeneralizedRelation,
     right: GeneralizedRelation,
-    engine: str = "auto",
     telemetry: Telemetry = NOOP_TELEMETRY,
 ) -> list[float]:
     """Average expected-distance score per class pair (minAvgFirst's score).
 
     Shared by the learned leftover classifier (strategy 3), which both
-    trains and predicts on this one feature. Engine selection mirrors
-    :meth:`SelectionHeuristic.order`; scores are engine-independent.
+    trains and predicts on this one feature.
     """
     if not pairs:
         return []
     telemetry.counter("select.pairs_scored").add(len(pairs))
-    scorer = MinAvgFirst()
-    if resolve_engine(engine, len(pairs)) == "numpy":
-        from repro.linkage.codes import CodeTables
-
-        tables = CodeTables(rule, left, right)
-        positions = tables.pair_positions(pairs)
-        if positions is not None:
-            matrix = tables.expected_for_pairs(*positions)
-            return scorer.score_array(matrix).tolist()
-    cache = ExpectedDistanceCache(rule, left, right)
-    return [scorer.score(cache.vector(pair)) for pair in pairs]
+    tables = CodeTables(rule, left, right)
+    matrix = tables.expected_for_pairs(*tables.pair_positions(pairs))
+    return MinAvgFirst().score_array(matrix).tolist()
 
 
 HEURISTICS = {

@@ -22,18 +22,18 @@ precision honestly.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.anonymize.base import GeneralizedRelation
 from repro.crypto.smc.oracle import CountingPlaintextOracle, SMCOracle
 from repro.data.schema import Schema
-from repro.errors import ConfigurationError
-from repro.linkage.blocking import (
-    BlockingResult,
-    ClassPair,
-    validate_engine,
-)
+from repro.errors import ConfigurationError, PipelineError
+from repro.linkage.blocking import BlockingResult, ClassPair, block
+from repro.linkage.columns import BlockLease, RecordColumns, plan_leases
 from repro.linkage.distances import MatchRule
 from repro.linkage.heuristics import MinAvgFirst, SelectionHeuristic
 from repro.linkage.strategies import (
@@ -42,7 +42,6 @@ from repro.linkage.strategies import (
     SMCObservation,
 )
 from repro.obs import NOOP_TELEMETRY, Telemetry
-from repro.pipeline import Pipeline, validate_executor, validate_shards
 
 __all__ = [
     "HybridLinkage",
@@ -73,24 +72,11 @@ class LinkageConfig:
     oracle_factory:
         Builds the SMC backend; defaults to the counted plaintext oracle
         (exact answers, real invoices — see DESIGN.md §4).
-    engine:
-        Cross-product evaluation engine for blocking and class-pair
-        scoring: ``"auto"`` (default; numpy above a workload threshold),
-        ``"python"`` (scalar reference), or ``"numpy"`` (vectorized
-        kernel). Engines are decision- and score-equivalent.
     telemetry:
         A :class:`repro.obs.Telemetry` that records every phase as a
         span and fills the metrics registry (blocking verdict tallies,
         heuristic scoring, SMC and channel costs). Defaults to the
         zero-overhead no-op; telemetry never influences decisions.
-    executor:
-        Shard execution backend: ``"serial"`` (default), ``"thread"``,
-        or ``"process"`` (see :data:`repro.pipeline.EXECUTORS`). Only
-        consulted when ``shards > 1``; every backend produces results
-        bit-identical to the serial path.
-    shards:
-        How many shards the pipeline splits the class-pair space into
-        (default 1, i.e. the classic serial run).
     """
 
     rule: MatchRule
@@ -98,19 +84,13 @@ class LinkageConfig:
     heuristic: SelectionHeuristic = field(default_factory=MinAvgFirst)
     strategy: LeftoverStrategy = field(default_factory=MaximizePrecision)
     oracle_factory: OracleFactory = CountingPlaintextOracle
-    engine: str = "auto"
     telemetry: Telemetry = field(default=NOOP_TELEMETRY, repr=False)
-    executor: str = "serial"
-    shards: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.allowance <= 1.0:
             raise ConfigurationError(
                 f"SMC allowance {self.allowance} must be a fraction in [0, 1]"
             )
-        validate_engine(self.engine)
-        validate_executor(self.executor)
-        validate_shards(self.shards)
         if (
             self.strategy.requires_random_selection
             and self.heuristic.name != "random"
@@ -215,14 +195,7 @@ class LinkageResult:
 
 
 class HybridLinkage:
-    """Run the paper's hybrid method end to end.
-
-    A thin facade over :class:`repro.pipeline.Pipeline`: every call
-    builds a pipeline from the config (which fixes the executor and
-    shard count alongside the engine) and delegates. Results are
-    bit-identical for every execution plan, so callers can treat this
-    class exactly as before the pipeline existed.
-    """
+    """Run the paper's hybrid method end to end."""
 
     def __init__(self, config: LinkageConfig):
         self.config = config
@@ -241,7 +214,14 @@ class HybridLinkage:
         span per phase (blocking, selection, SMC, leftovers) and kernel-
         or oracle-level grandchildren below those.
         """
-        return Pipeline.from_config(self.config).run(left, right)
+        if left.source.schema != right.source.schema:
+            raise ConfigurationError("input relations must share a schema")
+        config = self.config
+        with config.telemetry.span("linkage.run", allowance=config.allowance):
+            blocking = block(
+                config.rule, left, right, telemetry=config.telemetry
+            )
+            return self.run_from_blocking(blocking, left, right)
 
     def run_from_blocking(
         self,
@@ -249,12 +229,160 @@ class HybridLinkage:
         left: GeneralizedRelation,
         right: GeneralizedRelation,
     ) -> LinkageResult:
-        """Run the SMC and leftover steps on a precomputed blocking result.
+        """Run the selection, SMC and leftover steps on a blocking result.
 
         Parameter sweeps reuse one blocking result across heuristics and
         allowances (blocking does not depend on either), which is also how
         the paper structures its experiments.
         """
-        return Pipeline.from_config(self.config).run_from_blocking(
-            blocking, left, right
+        config = self.config
+        telemetry = config.telemetry
+        allowance_pairs = math.floor(config.allowance * blocking.total_pairs)
+        with telemetry.span(
+            "linkage.link",
+            heuristic=config.heuristic.name,
+            strategy=config.strategy.name,
+            allowance_pairs=allowance_pairs,
+        ) as link_span:
+            with telemetry.span(
+                "linkage.select", heuristic=config.heuristic.name
+            ):
+                ordered = config.heuristic.order(
+                    blocking.unknown, config.rule, left, right,
+                    telemetry=telemetry,
+                )
+            smc = _compare_leases(config, ordered, allowance_pairs, left, right)
+            claimed = _claim_leftovers(
+                config, smc.leftovers, smc.observations, left, right
+            )
+        return LinkageResult(
+            total_pairs=blocking.total_pairs,
+            blocking=blocking,
+            allowance_pairs=allowance_pairs,
+            smc_invocations=smc.invocations,
+            smc_matched_pairs=smc.smc_matched,
+            observations=smc.observations,
+            leftovers=smc.leftovers,
+            claimed=list(claimed),
+            attribute_comparisons=smc.attribute_comparisons,
+            elapsed_seconds=link_span.duration,
         )
+
+
+@dataclass
+class _SMCOutcome:
+    """What the SMC step hands the leftover step and the result."""
+
+    observations: list[SMCObservation] = field(default_factory=list)
+    smc_matched: list[tuple[int, int]] = field(default_factory=list)
+    leftovers: list[ClassPair] = field(default_factory=list)
+    invocations: int = 0
+    attribute_comparisons: int = 0
+
+
+def _compare_leases(
+    config: LinkageConfig,
+    ordered: list[ClassPair],
+    allowance_pairs: int,
+    left: GeneralizedRelation,
+    right: GeneralizedRelation,
+) -> _SMCOutcome:
+    """Spend the allowance comparing record pairs, in order.
+
+    The allowance becomes greedy prefix budget leases over the ordered
+    class pairs (:func:`~repro.linkage.columns.plan_leases`); both sources
+    are encoded once into columns and the oracle runs the leases in order,
+    one ``compare_block`` call each. The oracle must bill exactly the
+    leased record pairs; anything else is a :class:`PipelineError`.
+    """
+    telemetry = config.telemetry
+    takes, granted = plan_leases([pair.size for pair in ordered], allowance_pairs)
+    leased = ordered[: len(takes)]
+    outcome = _SMCOutcome()
+    # Leftover order: the one possibly-partial pair (always the last
+    # lease), then the class pairs the allowance never reached.
+    if takes and takes[-1] < leased[-1].size:
+        outcome.leftovers.append(leased[-1])
+    outcome.leftovers.extend(ordered[len(takes):])
+    left_columns = RecordColumns.from_relation(left.source, config.rule.names)
+    right_columns = RecordColumns.from_relation(right.source, config.rule.names)
+    leases = [
+        BlockLease(
+            np.array(pair.left.indices, dtype=np.intp),
+            np.array(pair.right.indices, dtype=np.intp),
+            take,
+        )
+        for pair, take in zip(leased, takes)
+    ]
+    oracle = config.oracle_factory(config.rule, left.source.schema)
+    if telemetry.enabled:
+        oracle.attach_telemetry(telemetry)
+    backend = type(oracle).__name__
+    with telemetry.span("linkage.smc", backend=backend) as smc_span:
+        with telemetry.span("oracle.compare", backend=backend):
+            # One lease per call: only one lease's offsets are alive at a
+            # time.
+            matched = (
+                oracle.compare_block(left_columns, right_columns, [lease])[0]
+                for lease in leases
+            )
+            spent = 0
+            for position, (pair, take, offsets) in enumerate(
+                zip(leased, takes, matched)
+            ):
+                left_indices = pair.left.indices
+                right_indices = pair.right.indices
+                outcome.smc_matched.extend(
+                    (left_indices[left_offset], right_indices[right_offset])
+                    for left_offset, right_offset in offsets
+                )
+                outcome.observations.append(
+                    SMCObservation(pair, take, len(offsets))
+                )
+                spent += take
+                telemetry.histogram("smc.class_pair_take").observe(take)
+                telemetry.emit_progress(
+                    "smc",
+                    spent,
+                    allowance_pairs,
+                    unit="pairs",
+                    matches=len(outcome.smc_matched),
+                    class_pairs=position + 1,
+                )
+        outcome.invocations = oracle.invocations
+        outcome.attribute_comparisons = oracle.attribute_comparisons
+        smc_span.annotate(
+            invocations=outcome.invocations,
+            matches=len(outcome.smc_matched),
+        )
+    if outcome.invocations != granted:
+        raise PipelineError(
+            f"the oracle billed {outcome.invocations} invocations but the "
+            f"budget leases granted {granted} record pairs"
+        )
+    if telemetry.enabled:
+        oracle.publish_metrics()
+        telemetry.counter("smc.allowance_pairs").add(allowance_pairs)
+        telemetry.counter("smc.matched_pairs").add(len(outcome.smc_matched))
+    return outcome
+
+
+def _claim_leftovers(
+    config: LinkageConfig,
+    leftovers: list[ClassPair],
+    observations: list[SMCObservation],
+    left: GeneralizedRelation,
+    right: GeneralizedRelation,
+) -> list[ClassPair]:
+    """Hand what the allowance never reached to the leftover strategy."""
+    telemetry = config.telemetry
+    strategy = config.strategy
+    with telemetry.span("linkage.leftovers", strategy=strategy.name):
+        claimed = strategy.claim_matches(
+            leftovers, observations, config.rule, left, right,
+            telemetry=telemetry,
+        )
+    if telemetry.enabled:
+        telemetry.counter("leftovers.class_pairs").add(len(leftovers))
+        telemetry.counter("leftovers.claimed_class_pairs").add(len(claimed))
+    return claimed

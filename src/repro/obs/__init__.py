@@ -9,8 +9,8 @@ uniform instrumentation layer instead of ad-hoc timers:
 - **Metrics** — a registry of named counters, gauges and histograms
   (:class:`MetricsRegistry`): pairs labeled M/N/U at blocking, class
   pairs scored per heuristic, SMC record-pair and attribute comparisons,
-  Paillier operation counts, bytes through the SMC channel, the engine
-  chosen and the chunk count of the numpy kernel.
+  Paillier operation counts, bytes through the SMC channel and the chunk
+  count of the blocking kernel.
 - **Run reports** — a versioned JSON document combining the span tree
   and final metric values (:func:`build_report`), with a schema
   validator and a human-readable summary printer (:mod:`repro.obs.report`,
@@ -75,7 +75,6 @@ _LAZY_EXPORTS = {
     "to_event_log": "repro.obs.export",
     "write_chrome_trace": "repro.obs.export",
     "write_event_log": "repro.obs.export",
-    "SYNTHETIC_SLOWDOWN_ENV": "repro.obs.compare",
     "Delta": "repro.obs.compare",
     "Metric": "repro.obs.compare",
     "append_history": "repro.obs.compare",
@@ -83,7 +82,6 @@ _LAZY_EXPORTS = {
     "extract_metrics": "repro.obs.compare",
     "history_record": "repro.obs.compare",
     "parse_tolerance": "repro.obs.compare",
-    "synthetic_slowdown": "repro.obs.compare",
 }
 
 
@@ -123,7 +121,6 @@ __all__ = [
     "RUN_REPORT_MINOR_VERSION",
     "RUN_REPORT_SCHEMA",
     "RUN_REPORT_VERSION",
-    "SYNTHETIC_SLOWDOWN_ENV",
     "Span",
     "Telemetry",
     "append_history",
@@ -134,7 +131,6 @@ __all__ = [
     "history_record",
     "parse_tolerance",
     "render_report",
-    "synthetic_slowdown",
     "to_chrome_trace",
     "to_event_log",
     "validate_report",

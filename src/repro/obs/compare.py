@@ -9,44 +9,37 @@ Two halves:
   so the perf trajectory accumulates across runs instead of being
   overwritten per invocation.
 - **Comparison** — :func:`extract_metrics` flattens a document (a
-  ``repro.obs`` run report, a ``blocking-engines`` bench payload, or a
-  history record wrapping either) into named metrics, each tagged with a
-  direction (is higher better?) and whether it *gates*; then
-  :func:`compare_metrics` diffs two such metric sets under a relative
-  tolerance. ``python -m repro.obs.compare BASELINE CURRENT --tolerance
-  25%`` prints the per-metric table and exits non-zero when any gated
-  metric regresses beyond tolerance — that exit code *is* the CI
-  perf-regression gate.
+  ``repro.obs`` run report, the result line ``e2ebench/run.py`` prints
+  last, or a history record wrapping either) into named metrics, each
+  tagged with a direction (is higher better?) and whether it *gates*;
+  then :func:`compare_metrics` diffs two such metric sets under a
+  relative tolerance. ``python -m repro.obs.compare BASELINE CURRENT
+  --tolerance 25%`` prints the per-metric table and exits non-zero when
+  any gated metric regresses beyond tolerance — that exit code *is* the
+  CI perf-regression gate.
 
-Tolerance semantics: a lower-is-better metric (phase seconds, cost
+Tolerance semantics: a lower-is-better metric (seconds, megabytes, cost
 counters) regresses when ``current > baseline * (1 + tolerance)``; a
-higher-is-better metric (engine speedup) regresses when ``current <
-baseline * (1 - tolerance)``. Metrics present on only one side are
-reported but never gate (schemas may grow across PRs). Cost counters
-(``smc.*``, ``channel.*``, ``crypto.*``, ``select.*``) gate; structural
-tallies (pair counts, verdict breakdowns) are informational — a data or
-parameter change legitimately moves them.
+higher-is-better metric regresses when ``current < baseline * (1 -
+tolerance)``. Metrics present on only one side are reported but never
+gate (schemas may grow across PRs). Cost counters (``smc.*``,
+``channel.*``, ``crypto.*``, ``select.*``) gate; structural tallies (pair
+counts, verdict breakdowns) are informational — a data or parameter
+change legitimately moves them.
 
-For gate self-tests the module also owns the synthetic-slowdown hook:
-setting ``REPRO_OBS_SYNTHETIC_SLOWDOWN=blocking=2.0`` makes the blocking
-phase sleep until it has taken 2x its real time, so CI can prove the
-gate fails when perf regresses (and passes when it doesn't).
+An end-to-end result line yields ``link_s``, ``setup_s`` and
+``peak_rss_mb``, all lower-is-better. A line that says ``"correct":
+false`` is refused (exit 2): the timings of a wrong run compare nothing.
 """
 
 from __future__ import annotations
 
 import fnmatch
 import json
-import os
 import platform
 import subprocess
 import sys
 from dataclasses import dataclass
-
-#: Environment variable injecting an artificial per-phase slowdown,
-#: formatted ``phase=factor[,phase=factor...]`` — the gate's negative
-#: control in CI. Factors below 1 are clamped to 1 (no speedup hook).
-SYNTHETIC_SLOWDOWN_ENV = "REPRO_OBS_SYNTHETIC_SLOWDOWN"
 
 #: Counter prefixes whose growth is a cost regression (gated); every
 #: other counter is compared informationally only.
@@ -54,21 +47,9 @@ GATED_COUNTER_PREFIXES = ("smc.", "channel.", "crypto.", "select.")
 
 DEFAULT_TOLERANCE = 0.25
 
-
-def synthetic_slowdown(phase: str) -> float:
-    """The injected slowdown factor for *phase* (1.0 when none is set)."""
-    raw = os.environ.get(SYNTHETIC_SLOWDOWN_ENV, "")
-    if not raw:
-        return 1.0
-    for item in raw.split(","):
-        name, _, factor_text = item.partition("=")
-        if name.strip() != phase:
-            continue
-        try:
-            return max(float(factor_text), 1.0)
-        except ValueError:
-            return 1.0
-    return 1.0
+#: The end-to-end metrics an ``e2ebench/run.py`` result line carries;
+#: every one is lower-is-better.
+E2E_METRICS = ("link_s", "setup_s", "peak_rss_mb")
 
 
 # ---------------------------------------------------------------------------
@@ -174,31 +155,26 @@ def _report_metrics(document: dict) -> dict[str, Metric]:
     return metrics
 
 
-def _bench_metrics(document: dict) -> dict[str, Metric]:
-    metrics: dict[str, Metric] = {}
-    for scale in document.get("scales") or []:
-        key = f"blocking.{scale['left_classes']}x{scale['right_classes']}"
-        metrics[f"{key}.python.seconds"] = Metric(scale["python"]["seconds"])
-        metrics[f"{key}.numpy.seconds"] = Metric(scale["numpy"]["seconds"])
-        metrics[f"{key}.speedup"] = Metric(
-            scale["speedup"], higher_is_better=True
+def _e2e_metrics(document: dict) -> dict[str, Metric]:
+    if document.get("correct") is not True:
+        raise ValueError(
+            "compare: the end-to-end run was not correct; its timings "
+            "compare nothing"
         )
-    for race in document.get("executors") or []:
-        key = f"pipeline.{race['left_classes']}x{race['right_classes']}"
-        for name, timing in (race.get("timings") or {}).items():
-            metrics[f"{key}.{name}.seconds"] = Metric(timing["seconds"])
-        if "process_speedup" in race:
-            metrics[f"{key}.process_speedup"] = Metric(
-                race["process_speedup"], higher_is_better=True
-            )
-    return metrics
+    values = document.get("metrics") or {}
+    return {
+        name: Metric(float(values[name]["value"]))
+        for name in E2E_METRICS
+        if name in values
+    }
 
 
 def extract_metrics(document: dict) -> dict[str, Metric]:
     """Flatten any supported document into ``{name: Metric}``.
 
-    Supported shapes: a run report, a ``blocking-engines`` bench payload
-    (``BENCH_blocking.json``), or a history record wrapping either.
+    Supported shapes: a run report, an ``e2ebench/run.py`` result line
+    (``{"correct", "attempted", "failed", "metrics"}``), or a history
+    record wrapping either.
     """
     # Imported here, not at module top: this module is a ``python -m``
     # target and must not be in the import graph of ``import repro``.
@@ -210,11 +186,11 @@ def extract_metrics(document: dict) -> dict[str, Metric]:
         document = document["payload"]
     if document.get("report") == RUN_REPORT_KIND:
         return _report_metrics(document)
-    if document.get("benchmark") == "blocking-engines":
-        return _bench_metrics(document)
+    if "correct" in document and "metrics" in document:
+        return _e2e_metrics(document)
     raise ValueError(
         "compare: unrecognized document (expected a repro.obs run report, "
-        "a blocking-engines bench payload, or a history record)"
+        "an e2ebench result line, or a history record)"
     )
 
 
@@ -333,8 +309,8 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.compare",
-        description="Diff two run reports / bench payloads per phase and "
-        "per counter; exit non-zero when a metric regresses beyond the "
+        description="Diff two run reports / end-to-end result lines per "
+        "metric; exit non-zero when a metric regresses beyond the "
         "tolerance. Used as the CI perf-regression gate.",
     )
     parser.add_argument("baseline", help="baseline document (.json or .jsonl)")

@@ -21,7 +21,7 @@ The design mirrors the telemetry split:
   ``repro-link --progress`` / ``repro-bench --progress`` flags attach one
   to stderr.
 
-Emitters in the pipeline: the blocking kernels (per chunk of the class-
+Emitters in the pipeline: the blocking kernel (per chunk of the class-
 pair cross product), heuristic selection (scored-pair counts), and the
 SMC loop (pairs compared, allowance consumed — the renderer derives rate
 and ETA).

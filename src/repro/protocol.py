@@ -51,11 +51,10 @@ from repro.linkage.blocking import (
     block_positions,
     publish_blocking_metrics,
 )
-from repro.linkage.columns import BlockLease, RecordColumns
+from repro.linkage.columns import BlockLease, RecordColumns, plan_leases
 from repro.linkage.distances import MatchRule
 from repro.linkage.heuristics import MinAvgFirst, SelectionHeuristic
 from repro.obs import NOOP_TELEMETRY, Telemetry
-from repro.pipeline.shards import plan_leases
 
 #: A record handle the querying party may hold: (class_id, offset).
 Handle = tuple[int, int]
@@ -339,17 +338,21 @@ class QueryingParty:
         planned as greedy prefix budget leases over that order, and every
         lease goes to the bridge in one ``compare_many`` call; handles are
         built only for the matches that come back.
+
+        ``smc_invocations`` is what this call spent: the bridge's count
+        grows by exactly the leased record pairs, or the call raises
+        :class:`ProtocolError`. A bridge may be reused across calls.
         """
         for view in (left_view, right_view):
             self._check_qids(view)
         telemetry = self.telemetry
         total_pairs = left_view.record_count * right_view.record_count
         class_pairs = len(left_view.classes) * len(right_view.classes)
-        with telemetry.span("blocking", engine="numpy", class_pairs=class_pairs):
+        with telemetry.span("blocking", class_pairs=class_pairs):
             verdicts = block_positions(
                 self.rule, left_view, right_view, telemetry=telemetry
             )
-        publish_blocking_metrics(telemetry, verdicts, class_pairs, "numpy")
+        publish_blocking_metrics(telemetry, verdicts, class_pairs)
         left_ids = np.array([c.class_id for c in left_view.classes], dtype=np.int64)
         right_ids = np.array([c.class_id for c in right_view.classes], dtype=np.int64)
         matched = verdicts.matched
@@ -399,6 +402,7 @@ class QueryingParty:
             outcome.claimed_class_pairs = list(
                 zip(ordered_left[leased:], ordered_right[leased:])
             )
+        billed_before = bridge.invocations
         results = bridge.compare_many(leases)
         if len(results) != len(leases):
             raise ProtocolError(
@@ -418,7 +422,12 @@ class QueryingParty:
                 (left[left_offset], right[right_offset])
                 for left_offset, right_offset in offsets
             ]
-        outcome.smc_invocations = bridge.invocations
+        outcome.smc_invocations = bridge.invocations - billed_before
+        if outcome.smc_invocations != spent:
+            raise ProtocolError(
+                f"the bridge billed {outcome.smc_invocations} invocations "
+                f"for leases of {spent} record pairs"
+            )
         return outcome
 
     def _order(

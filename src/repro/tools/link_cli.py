@@ -213,29 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="anonymization algorithm",
     )
     parser.add_argument(
-        "--engine",
-        choices=("auto", "python", "numpy"),
-        default="auto",
-        help="blocking/scoring engine (auto switches to the numpy kernel "
-        "on large class-pair workloads; results are identical)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("serial", "thread", "process"),
-        default="serial",
-        help="shard execution backend for the staged pipeline (library "
-        "path only; not accepted with --remote); every backend produces "
-        "bit-identical results",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="how many shards to split the class-pair space into "
-        "(1 = classic serial run; library path only, not accepted with "
-        "--remote)",
-    )
-    parser.add_argument(
         "--hierarchies",
         default=None,
         metavar="FILE",
@@ -269,11 +246,6 @@ def run_remote(args, parser: argparse.ArgumentParser) -> int:
 
     if args.left or args.right:
         parser.error("--remote takes no CSV arguments; the holders have the data")
-    if args.executor != "serial" or args.shards != 1:
-        parser.error(
-            "--executor/--shards apply to the library path only; the "
-            "querying party has nothing to shard"
-        )
     if not args.hierarchies:
         parser.error(
             "--remote requires --hierarchies: hierarchies are normally "
@@ -375,10 +347,7 @@ def main(argv: list[str] | None = None) -> int:
                 rule,
                 allowance=args.allowance,
                 heuristic=heuristic_by_name(args.heuristic),
-                engine=args.engine,
                 telemetry=telemetry,
-                executor=args.executor,
-                shards=args.shards,
             )
             result = HybridLinkage(config).run(left_gen, right_gen)
         finally:
@@ -399,9 +368,6 @@ def main(argv: list[str] | None = None) -> int:
             args.metrics_out,
             context={
                 "tool": "repro-link",
-                "engine": args.engine,
-                "executor": args.executor,
-                "shards": args.shards,
                 "k": args.k,
                 "allowance": args.allowance,
                 "heuristic": args.heuristic,

@@ -1,13 +1,14 @@
 """Test-only scalar references the production kernels are checked against.
 
-Blocking. The querying party blocks and orders published views on the library's
-numpy kernel (``repro.linkage.blocking.block_positions``). This module
+Blocking. The library and the querying party block and order classes on
+the numpy kernel (``repro.linkage.blocking.block_positions``). This module
 keeps the plain loop it replaced: per class pair, the slack decision on
 the two generalization sequences, then the heuristic's score of the
 expected-distance vector for the pairs the rule leaves undecided. The
 unknown class pairs are sorted by ``(score, class-pair size, left
 class_id, right class_id)`` and the allowance becomes greedy prefix
-budget leases over that order.
+budget leases over that order. Classes without a ``class_id`` (those of a
+``GeneralizedRelation``) are keyed by their position instead.
 
 Anonymization. ``TopDownSpecializer`` (TDS, MaxEntropyTDS, l-diversity)
 and Mondrian's categorical cuts count child sizes over integer value
@@ -28,9 +29,9 @@ from repro.anonymize.tds import class_entropy
 from repro.data.strings import PrefixHierarchy
 from repro.data.vgh import CategoricalHierarchy, Interval, IntervalHierarchy
 from repro.errors import AnonymizationError
+from repro.linkage.columns import plan_leases
 from repro.linkage.expected import expected_distance_vector
 from repro.linkage.slack import Label, slack_decision
-from repro.pipeline.shards import plan_leases
 from repro.protocol import Lease
 
 
@@ -42,6 +43,8 @@ class ReferenceLink:
     blocked_nonmatch_pairs: int = 0
     unknown_pairs: int = 0
     matched_class_pairs: list[tuple[int, int]] = field(default_factory=list)
+    #: ``(left class_id, right class_id)`` of the unknown pairs, row-major.
+    unknown_class_pairs: list[tuple[int, int]] = field(default_factory=list)
     #: ``(score, size, left class_id, right class_id)`` in consumption order.
     ordered_unknown: list[tuple[float, int, int, int]] = field(
         default_factory=list
@@ -55,32 +58,33 @@ def reference_link(rule, heuristic, left_view, right_view, allowance) -> Referen
     right_positions = [right_view.qids.index(name) for name in rule.names]
     link = ReferenceLink()
     unknown = []
-    for left_class in left_view.classes:
+    for left_position, left_class in enumerate(left_view.classes):
+        left_id = getattr(left_class, "class_id", left_position)
         left_sequence = [left_class.sequence[p] for p in left_positions]
-        for right_class in right_view.classes:
+        for right_position, right_class in enumerate(right_view.classes):
+            right_id = getattr(right_class, "class_id", right_position)
             right_sequence = [right_class.sequence[p] for p in right_positions]
             label = slack_decision(rule, left_sequence, right_sequence)
             size = left_class.size * right_class.size
             if label is Label.MATCH:
                 link.blocked_match_pairs += size
-                link.matched_class_pairs.append(
-                    (left_class.class_id, right_class.class_id)
-                )
+                link.matched_class_pairs.append((left_id, right_id))
             elif label is Label.NONMATCH:
                 link.blocked_nonmatch_pairs += size
             else:
                 link.unknown_pairs += size
+                link.unknown_class_pairs.append((left_id, right_id))
                 score = heuristic.score(
                     expected_distance_vector(
                         rule.attributes, left_sequence, right_sequence
                     )
                 )
-                unknown.append(
-                    (score, size, left_class.class_id, right_class.class_id)
-                )
+                unknown.append((score, size, left_id, right_id))
     unknown.sort()
     link.ordered_unknown = unknown
-    total_pairs = left_view.record_count * right_view.record_count
+    total_pairs = sum(c.size for c in left_view.classes) * sum(
+        c.size for c in right_view.classes
+    )
     takes, _ = plan_leases(
         [size for _, size, _, _ in unknown],
         math.floor(allowance * total_pairs),

@@ -1,11 +1,12 @@
-"""Tests for the blocking engine beyond the golden paper example."""
+"""Tests for the blocking step beyond the golden paper example."""
 
 import pytest
 
 from repro.anonymize import MaxEntropyTDS, identity_generalization
 from repro.data.hierarchies import ADULT_QID_ORDER
 from repro.errors import ConfigurationError
-from repro.linkage.blocking import ClassPair, ExpectedDistanceCache, block
+from repro.linkage.blocking import ClassPair, block
+from repro.linkage.codes import CodeTables
 from repro.linkage.ground_truth import GroundTruth
 
 QIDS = ADULT_QID_ORDER[:5]
@@ -118,13 +119,15 @@ class TestClassPair:
 
 
 class TestExpectedDistanceCache:
+    """The code tables' cached expected-distance matrices."""
+
     def test_vector_matches_direct_computation(
         self, adult_rule, generalized_pair
     ):
         from repro.linkage.expected import expected_distance_vector
 
         left, right = generalized_pair
-        cache = ExpectedDistanceCache(adult_rule, left, right)
+        tables = CodeTables(adult_rule, left, right)
         pair = ClassPair(left.classes[0], right.classes[1])
         left_positions = [left.qids.index(name) for name in adult_rule.names]
         right_positions = [right.qids.index(name) for name in adult_rule.names]
@@ -133,10 +136,14 @@ class TestExpectedDistanceCache:
             [pair.left.sequence[p] for p in left_positions],
             [pair.right.sequence[p] for p in right_positions],
         )
-        assert cache.vector(pair) == pytest.approx(direct)
+        [row] = tables.expected_for_pairs(*tables.pair_positions([pair]))
+        assert tuple(row.tolist()) == direct
 
     def test_cache_is_consistent_across_calls(self, adult_rule, generalized_pair):
         left, right = generalized_pair
-        cache = ExpectedDistanceCache(adult_rule, left, right)
+        tables = CodeTables(adult_rule, left, right)
         pair = ClassPair(left.classes[0], right.classes[0])
-        assert cache.vector(pair) == cache.vector(pair)
+        positions = tables.pair_positions([pair])
+        first = tables.expected_for_pairs(*positions)
+        assert (tables.expected_for_pairs(*positions) == first).all()
+        assert tables.expected_matrix(0) is tables.expected_matrix(0)

@@ -1,11 +1,13 @@
-"""Engine parity: the numpy kernel must match the scalar engine exactly.
+"""Kernel parity: the numpy kernel must match the scalar reference loop.
 
-The vectorized blocking/scoring engine (``engine="numpy"``) is only
-admissible because it is a pure re-implementation: same decisions, same
-counts, same scores, same ordering. These tests pin that contract, both on
-hypothesis-generated random corpora (random equivalence classes over
-categorical, continuous and prefix-string attributes, random thresholds,
-adversarial chunk sizes) and on the shared Adult fixtures.
+Blocking, heuristic ordering and leftover scoring run on the vectorized
+kernel (``block_positions`` / ``CodeTables``). It is only admissible
+because it computes what the plain per-class-pair loop of
+``tests/reference.py`` computes: same decisions, same counts, same scores,
+same ordering. These tests pin that contract, both on hypothesis-generated
+random corpora (random equivalence classes over categorical, continuous
+and prefix-string attributes, random thresholds, adversarial chunk sizes)
+and on the shared Adult fixtures.
 """
 
 import pytest
@@ -19,13 +21,15 @@ from repro.data.schema import Attribute, Relation, Schema
 from repro.data.strings import PrefixHierarchy
 from repro.data.vgh import CategoricalHierarchy, Interval, IntervalHierarchy
 from repro.errors import ConfigurationError
-from repro.linkage.blocking import (
-    AUTO_NUMPY_THRESHOLD,
-    block,
-    resolve_engine,
-)
+from repro.linkage.blocking import ClassPair, block
 from repro.linkage.distances import MatchAttribute, MatchRule
-from repro.linkage.heuristics import HEURISTICS, average_expected_scores
+from repro.linkage.heuristics import (
+    HEURISTICS,
+    MinAvgFirst,
+    average_expected_scores,
+)
+
+from reference import reference_link
 
 EDUCATION = CategoricalHierarchy(
     "education", {"ANY": {"Low": ["a", "b"], "High": ["c", "d", "e"]}}
@@ -52,6 +56,32 @@ NAME_NODES = ("*", "a*", "ab*", "abc", "abd", "b*", "bc", "bcd*")
 def _pair_keys(pairs):
     """Order-sensitive, identity-free rendering of a class-pair list."""
     return [(pair.left.indices, pair.right.indices) for pair in pairs]
+
+
+def _positions(pairs, left, right):
+    """``(left position, right position)`` of each class pair, in order."""
+    left_index = {id(eq_class): i for i, eq_class in enumerate(left.classes)}
+    right_index = {id(eq_class): i for i, eq_class in enumerate(right.classes)}
+    return [(left_index[id(pair.left)], right_index[id(pair.right)]) for pair in pairs]
+
+
+def _assert_blocking_matches_reference(rule, left, right, result):
+    reference = reference_link(rule, MinAvgFirst(), left, right, 0.0)
+    assert _positions(result.matched, left, right) == reference.matched_class_pairs
+    assert _positions(result.unknown, left, right) == reference.unknown_class_pairs
+    assert result.matched_pairs == reference.blocked_match_pairs
+    assert result.nonmatch_pairs == reference.blocked_nonmatch_pairs
+    assert result.unknown_pairs == reference.unknown_pairs
+    assert result.total_pairs == len(left.source) * len(right.source)
+
+
+def _assert_orderings_match_reference(rule, left, right, unknown):
+    for heuristic in HEURISTICS.values():
+        ordered = heuristic.order(unknown, rule, left, right)
+        reference = reference_link(rule, heuristic, left, right, 0.0)
+        assert _positions(ordered, left, right) == [
+            (left_id, right_id) for _, _, left_id, right_id in reference.ordered_unknown
+        ], heuristic.name
 
 
 @st.composite
@@ -98,39 +128,31 @@ class TestBlockingParity:
     @settings(max_examples=40, deadline=None)
     def test_identical_decisions(self, case):
         left, right, rule, chunk_cells = case
-        scalar = block(rule, left, right, engine="python")
-        vectorized = block(
-            rule, left, right, engine="numpy", chunk_cells=chunk_cells
-        )
-        assert scalar.engine == "python"
-        assert vectorized.engine == "numpy"
-        assert _pair_keys(scalar.matched) == _pair_keys(vectorized.matched)
-        assert _pair_keys(scalar.unknown) == _pair_keys(vectorized.unknown)
-        assert scalar.nonmatch_pairs == vectorized.nonmatch_pairs
-        assert scalar.total_pairs == vectorized.total_pairs
+        result = block(rule, left, right, chunk_cells=chunk_cells)
+        _assert_blocking_matches_reference(rule, left, right, result)
 
     @given(case=linkage_case())
     @settings(max_examples=15, deadline=None)
     def test_heuristic_orderings_agree(self, case):
         left, right, rule, _ = case
-        unknown = block(rule, left, right, engine="python").unknown
-        for heuristic in HEURISTICS.values():
-            scalar = heuristic.order(unknown, rule, left, right, engine="python")
-            vectorized = heuristic.order(
-                unknown, rule, left, right, engine="numpy"
-            )
-            assert [id(pair) for pair in scalar] == [
-                id(pair) for pair in vectorized
-            ], heuristic.name
+        unknown = block(rule, left, right).unknown
+        _assert_orderings_match_reference(rule, left, right, unknown)
 
     @given(case=linkage_case())
     @settings(max_examples=15, deadline=None)
     def test_average_scores_agree(self, case):
         left, right, rule, _ = case
-        unknown = block(rule, left, right, engine="python").unknown
-        scalar = average_expected_scores(unknown, rule, left, right, "python")
-        vectorized = average_expected_scores(unknown, rule, left, right, "numpy")
-        assert scalar == vectorized  # bit-identical, not approx
+        unknown = block(rule, left, right).unknown
+        reference = reference_link(rule, MinAvgFirst(), left, right, 0.0)
+        by_position = {
+            (left_id, right_id): score
+            for score, _, left_id, right_id in reference.ordered_unknown
+        }
+        scores = average_expected_scores(unknown, rule, left, right)
+        # Bit-identical, not approx.
+        assert scores == [
+            by_position[position] for position in _positions(unknown, left, right)
+        ]
 
     def test_empty_relations(self):
         empty = GeneralizedRelation(
@@ -143,12 +165,11 @@ class TestBlockingParity:
                 MatchAttribute("name", NAME, 0.0),
             ]
         )
-        for engine in ("python", "numpy"):
-            result = block(rule, empty, empty, engine=engine)
-            assert result.total_pairs == 0
-            assert result.nonmatch_pairs == 0
-            assert not result.matched and not result.unknown
-            assert result.blocking_efficiency == 1.0
+        result = block(rule, empty, empty)
+        assert result.total_pairs == 0
+        assert result.nonmatch_pairs == 0
+        assert not result.matched and not result.unknown
+        assert result.blocking_efficiency == 1.0
 
 
 class TestAdultCorpusParity:
@@ -165,76 +186,71 @@ class TestAdultCorpusParity:
 
     def test_blocking_parity(self, adult_rule, generalized_pair):
         left, right = generalized_pair
-        scalar = block(adult_rule, left, right, engine="python")
-        vectorized = block(adult_rule, left, right, engine="numpy")
-        assert _pair_keys(scalar.matched) == _pair_keys(vectorized.matched)
-        assert _pair_keys(scalar.unknown) == _pair_keys(vectorized.unknown)
-        assert scalar.nonmatch_pairs == vectorized.nonmatch_pairs
+        result = block(adult_rule, left, right)
+        _assert_blocking_matches_reference(adult_rule, left, right, result)
 
     def test_ordering_parity(self, adult_rule, generalized_pair):
         left, right = generalized_pair
-        unknown = block(adult_rule, left, right, engine="python").unknown
+        unknown = block(adult_rule, left, right).unknown
         assert unknown
-        for heuristic in HEURISTICS.values():
-            scalar = heuristic.order(
-                unknown, adult_rule, left, right, engine="python"
-            )
-            vectorized = heuristic.order(
-                unknown, adult_rule, left, right, engine="numpy"
-            )
-            assert [id(pair) for pair in scalar] == [
-                id(pair) for pair in vectorized
-            ], heuristic.name
+        _assert_orderings_match_reference(adult_rule, left, right, unknown)
 
 
-class TestEngineSelection:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_engine("cython", 10)
+class TestForeignClassPairs:
+    """Scoring a class pair outside the given relations is a config error."""
 
-    def test_python_is_literal(self):
-        assert resolve_engine("python", 10**9) == "python"
-
-    def test_numpy_is_literal(self):
-        assert resolve_engine("numpy", 0) == "numpy"
-
-    def test_auto_thresholds_on_workload(self):
-        assert resolve_engine("auto", AUTO_NUMPY_THRESHOLD - 1) == "python"
-        assert resolve_engine("auto", AUTO_NUMPY_THRESHOLD) == "numpy"
-
-    def test_block_records_engine(self, toy_rule, toy_generalized):
+    def test_order_rejects_foreign_class(self, toy_rule, toy_generalized):
         r_prime, s_prime = toy_generalized
-        result = block(toy_rule, r_prime, s_prime)  # tiny: auto -> python
-        assert result.engine == "python"
-        forced = block(toy_rule, r_prime, s_prime, engine="numpy")
-        assert forced.engine == "numpy"
-        assert _pair_keys(result.matched) == _pair_keys(forced.matched)
-        assert _pair_keys(result.unknown) == _pair_keys(forced.unknown)
-        assert result.nonmatch_pairs == forced.nonmatch_pairs
+        foreign = ClassPair(
+            EquivalenceClass(r_prime.classes[0].sequence, (999,)),
+            s_prime.classes[0],
+        )
+        pairs = [ClassPair(r_prime.classes[0], s_prime.classes[0]), foreign]
+        for heuristic in HEURISTICS.values():
+            with pytest.raises(ConfigurationError):
+                heuristic.order(pairs, toy_rule, r_prime, s_prime)
 
-    def test_linkage_config_validates_engine(self, toy_rule):
-        from repro.linkage.hybrid import LinkageConfig
-
+    def test_average_scores_reject_foreign_class(self, toy_rule, toy_generalized):
+        r_prime, s_prime = toy_generalized
+        foreign = ClassPair(
+            r_prime.classes[0],
+            EquivalenceClass(s_prime.classes[0].sequence, (999,)),
+        )
         with pytest.raises(ConfigurationError):
-            LinkageConfig(toy_rule, engine="fortran")
+            average_expected_scores([foreign], toy_rule, r_prime, s_prime)
 
 
 class TestEndToEndParity:
-    """The full pipeline is engine-independent, not just blocking."""
+    """The full run follows the reference loop, not just blocking."""
 
     def test_hybrid_results_agree(self, toy_rule, toy_generalized):
         from repro.linkage.hybrid import HybridLinkage, LinkageConfig
 
         r_prime, s_prime = toy_generalized
-        results = {}
-        for engine in ("python", "numpy"):
-            config = LinkageConfig(toy_rule, allowance=0.5, engine=engine)
-            results[engine] = HybridLinkage(config).run(r_prime, s_prime)
-        scalar, vectorized = results["python"], results["numpy"]
-        assert scalar.smc_matched_pairs == vectorized.smc_matched_pairs
-        assert scalar.smc_invocations == vectorized.smc_invocations
-        assert _pair_keys(scalar.leftovers) == _pair_keys(vectorized.leftovers)
-        assert scalar.reported_match_pairs == vectorized.reported_match_pairs
+        result = HybridLinkage(LinkageConfig(toy_rule, allowance=0.5)).run(
+            r_prime, s_prime
+        )
+        reference = reference_link(toy_rule, MinAvgFirst(), r_prime, s_prime, 0.5)
+        assert reference.leases
+        assert [
+            (*position, observation.compared)
+            for position, observation in zip(
+                _positions(
+                    [o.pair for o in result.observations], r_prime, s_prime
+                ),
+                result.observations,
+            )
+        ] == [tuple(lease) for lease in reference.leases]
+        assert result.smc_invocations == sum(lease.take for lease in reference.leases)
+        leased = len(reference.leases)
+        partial = reference.leases[-1].take < reference.ordered_unknown[leased - 1][1]
+        expected_leftovers = [
+            (left_id, right_id)
+            for _, _, left_id, right_id in reference.ordered_unknown[
+                leased - partial:
+            ]
+        ]
+        assert _positions(result.leftovers, r_prime, s_prime) == expected_leftovers
 
     def test_telemetry_does_not_change_decisions(
         self, toy_rule, toy_generalized
@@ -317,6 +333,3 @@ class TestTelemetryAcceptance:
         assert counters["channel.bytes_sent"] > 0
         assert counters["channel.messages"] > 0
         assert counters["crypto.encrypt"] > 0
-        assert document["metrics"]["gauges"]["blocking.engine"] in (
-            "python", "numpy",
-        )

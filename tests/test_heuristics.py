@@ -4,7 +4,8 @@ import pytest
 
 from repro.anonymize import MaxEntropyTDS
 from repro.data.hierarchies import ADULT_QID_ORDER
-from repro.linkage.blocking import ExpectedDistanceCache, block
+from repro.linkage.blocking import block
+from repro.linkage.expected import expected_distance_vector
 from repro.linkage.heuristics import (
     HEURISTICS,
     MaxLast,
@@ -15,6 +16,17 @@ from repro.linkage.heuristics import (
 )
 
 QIDS = ADULT_QID_ORDER[:5]
+
+
+def expected_vector(rule, left, right, pair):
+    """The scalar per-attribute expected-distance vector of *pair*."""
+    left_positions = [left.qids.index(name) for name in rule.names]
+    right_positions = [right.qids.index(name) for name in rule.names]
+    return expected_distance_vector(
+        rule.attributes,
+        [pair.left.sequence[p] for p in left_positions],
+        [pair.right.sequence[p] for p in right_positions],
+    )
 
 
 @pytest.fixture(scope="module")
@@ -53,9 +65,11 @@ class TestOrdering:
     def test_scores_non_decreasing(self, name, setup, adult_rule):
         left, right, blocking = setup
         heuristic = heuristic_by_name(name)
-        cache = ExpectedDistanceCache(adult_rule, left, right)
         ordered = heuristic.order(blocking.unknown, adult_rule, left, right)
-        scores = [heuristic.score(cache.vector(pair)) for pair in ordered]
+        scores = [
+            heuristic.score(expected_vector(adult_rule, left, right, pair))
+            for pair in ordered
+        ]
         assert scores == sorted(scores)
 
     def test_ordering_is_deterministic(self, setup, adult_rule):

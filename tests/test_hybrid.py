@@ -260,16 +260,14 @@ class TestAllowanceBoundary:
 class TestRunFromBlocking:
     """run_from_blocking on a precomputed BlockingResult == run()."""
 
-    @pytest.mark.parametrize("engine", ["python", "numpy"])
-    def test_matches_full_run(self, engine, adult_rule, generalized_pair):
+    def test_matches_full_run(self, adult_rule, generalized_pair):
         from repro.linkage.blocking import block
 
         left, right = generalized_pair
-        config = LinkageConfig(adult_rule, allowance=0.01, engine=engine)
+        config = LinkageConfig(adult_rule, allowance=0.01)
         full = HybridLinkage(config).run(left, right)
-        blocking = block(adult_rule, left, right, engine=engine)
+        blocking = block(adult_rule, left, right)
         resumed = HybridLinkage(config).run_from_blocking(blocking, left, right)
-        assert blocking.engine == full.blocking.engine
         assert _decision_fingerprint(resumed) == _decision_fingerprint(full)
         assert resumed.total_pairs == full.total_pairs
 

@@ -166,20 +166,3 @@ class TestEndToEnd:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["a.csv", "b.csv"])
-
-    @pytest.mark.parametrize(
-        "plan", [["--executor", "thread"], ["--shards", "2"]]
-    )
-    def test_remote_rejects_library_execution_plan(self, plan, capsys):
-        """--executor/--shards apply to the library path only."""
-        with pytest.raises(SystemExit) as exit_info:
-            main(
-                [
-                    "--remote", "alice=127.0.0.1:1,bob=127.0.0.1:2",
-                    "--attr", "age=continuous:0.05",
-                    "--hierarchies", "unused.json",
-                    *plan,
-                ]
-            )
-        assert exit_info.value.code == 2
-        assert "library path only" in capsys.readouterr().err

@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 import json
-import sys
 
 import pytest
 
-from repro.linkage.blocking import block
 from repro.obs import Telemetry
 from repro.obs.compare import (
-    SYNTHETIC_SLOWDOWN_ENV,
     Metric,
     append_history,
     compare_metrics,
@@ -21,24 +18,20 @@ from repro.obs.compare import (
     main as compare_main,
     parse_tolerance,
     regressions,
-    synthetic_slowdown,
 )
 
 
-def _bench_payload(python_s=1.0, numpy_s=0.1, speedup=10.0):
+def _e2e_line(link_s=0.25, setup_s=0.4, peak_rss_mb=80.0, correct=True):
+    """The last stdout line of ``e2ebench/run.py --trace 0``."""
     return {
-        "benchmark": "blocking-engines",
-        "python_version": "3.x",
-        "scales": [
-            {
-                "left_classes": 150,
-                "right_classes": 150,
-                "class_pairs": 22500,
-                "python": {"seconds": python_s},
-                "numpy": {"seconds": numpy_s},
-                "speedup": speedup,
-            }
-        ],
+        "correct": correct,
+        "attempted": 12,
+        "failed": 0 if correct else 1,
+        "metrics": {
+            "link_s": {"value": link_s, "unit": "s"},
+            "setup_s": {"value": setup_s, "unit": "s"},
+            "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"},
+        },
     }
 
 
@@ -73,19 +66,21 @@ class TestExtraction:
         assert metrics["counter.smc.record_pairs"].gated
         assert not metrics["counter.blocking.class_pairs"].gated
 
-    def test_bench_payload_per_scale(self):
-        metrics = extract_metrics(_bench_payload())
-        assert metrics["blocking.150x150.python.seconds"].value == 1.0
-        assert metrics["blocking.150x150.numpy.seconds"].value == 0.1
-        speedup = metrics["blocking.150x150.speedup"]
-        assert speedup.value == 10.0
-        assert speedup.higher_is_better
+    def test_e2e_result_line(self):
+        metrics = extract_metrics(_e2e_line())
+        assert set(metrics) == {"link_s", "setup_s", "peak_rss_mb"}
+        assert metrics["link_s"].value == 0.25
+        assert metrics["peak_rss_mb"].value == 80.0
+        assert not any(metric.higher_is_better for metric in metrics.values())
+        assert all(metric.gated for metric in metrics.values())
+
+    def test_incorrect_e2e_run_rejected(self):
+        with pytest.raises(ValueError, match="not correct"):
+            extract_metrics(_e2e_line(correct=False))
 
     def test_history_record_unwraps(self):
-        record = history_record(_bench_payload(), sha="abc", timestamp="t")
-        assert set(extract_metrics(record)) == set(
-            extract_metrics(_bench_payload())
-        )
+        record = history_record(_e2e_line(), sha="abc", timestamp="t")
+        assert set(extract_metrics(record)) == set(extract_metrics(_e2e_line()))
 
     def test_unknown_document_rejected(self):
         with pytest.raises(ValueError):
@@ -171,58 +166,43 @@ class TestGateCli:
         return str(path)
 
     def test_identical_documents_pass(self, tmp_path, capsys):
-        base = self._write(tmp_path, "base.json", _bench_payload())
+        base = self._write(tmp_path, "base.json", _e2e_line())
         assert compare_main([base, base]) == 0
         assert "ok" in capsys.readouterr().out
 
     def test_seconds_regression_fails(self, tmp_path, capsys):
-        base = self._write(tmp_path, "base.json", _bench_payload())
-        slow = self._write(
-            tmp_path, "slow.json", _bench_payload(python_s=2.0, numpy_s=0.2)
-        )
+        base = self._write(tmp_path, "base.json", _e2e_line())
+        slow = self._write(tmp_path, "slow.json", _e2e_line(link_s=0.75))
         assert compare_main([base, slow, "--tolerance", "25%"]) == 1
         captured = capsys.readouterr()
         assert "REGRESSION" in captured.out
         assert "regressed" in captured.err
 
     def test_metric_filter_scopes_the_gate(self, tmp_path, capsys):
-        base = self._write(tmp_path, "base.json", _bench_payload())
-        # Seconds doubled but speedup preserved: the speedup-only gate
-        # (what CI uses against a committed cross-machine baseline) passes.
-        slow = self._write(
-            tmp_path, "slow.json", _bench_payload(python_s=2.0, numpy_s=0.2)
-        )
-        assert compare_main(
-            [base, slow, "--metric", "blocking.*.speedup"]
-        ) == 0
-        assert compare_main(
-            [base, slow, "--metric", "blocking.*.seconds"]
-        ) == 1
+        base = self._write(tmp_path, "base.json", _e2e_line())
+        # Link time tripled, set-up and memory unchanged: only a gate that
+        # reads link_s fails.
+        slow = self._write(tmp_path, "slow.json", _e2e_line(link_s=0.75))
+        assert compare_main([base, slow, "--metric", "*setup_s"]) == 0
+        assert compare_main([base, slow, "--metric", "*link_s"]) == 1
         capsys.readouterr()
 
-    def test_speedup_drop_fails_even_with_filter(self, tmp_path, capsys):
-        base = self._write(tmp_path, "base.json", _bench_payload())
-        worse = self._write(
-            tmp_path, "worse.json", _bench_payload(numpy_s=0.5, speedup=2.0)
-        )
-        assert compare_main(
-            [base, worse, "--metric", "blocking.*.speedup"]
-        ) == 1
-        capsys.readouterr()
+    def test_incorrect_run_is_a_usage_error(self, tmp_path, capsys):
+        base = self._write(tmp_path, "base.json", _e2e_line())
+        wrong = self._write(tmp_path, "wrong.json", _e2e_line(correct=False))
+        assert compare_main([base, wrong, "--metric", "*link_s"]) == 2
+        assert "not correct" in capsys.readouterr().err
 
     def test_history_jsonl_inputs(self, tmp_path, capsys):
         history = str(tmp_path / "BENCH_history.jsonl")
-        append_history(history, history_record(_bench_payload(), sha="a"))
+        append_history(history, history_record(_e2e_line(), sha="a"))
         append_history(
-            history,
-            history_record(_bench_payload(python_s=2.0, numpy_s=0.2), sha="b"),
+            history, history_record(_e2e_line(link_s=0.75), sha="b")
         )
         assert compare_main([history, history, "--entry", "-1"]) == 0
         base_only = str(tmp_path / "first.jsonl")
-        append_history(base_only, history_record(_bench_payload(), sha="a"))
-        assert compare_main(
-            [base_only, history, "--metric", "blocking.*.seconds"]
-        ) == 1
+        append_history(base_only, history_record(_e2e_line(), sha="a"))
+        assert compare_main([base_only, history, "--metric", "*link_s"]) == 1
         capsys.readouterr()
 
     def test_run_report_inputs(self, tmp_path, capsys):
@@ -234,59 +214,3 @@ class TestGateCli:
         missing = str(tmp_path / "absent.json")
         assert compare_main([missing, missing]) == 2
         assert "repro.obs.compare" in capsys.readouterr().err
-
-
-class TestSyntheticSlowdown:
-    def test_parse_forms(self, monkeypatch):
-        monkeypatch.delenv(SYNTHETIC_SLOWDOWN_ENV, raising=False)
-        assert synthetic_slowdown("blocking") == 1.0
-        monkeypatch.setenv(SYNTHETIC_SLOWDOWN_ENV, "blocking=2.0")
-        assert synthetic_slowdown("blocking") == 2.0
-        assert synthetic_slowdown("smc") == 1.0
-        monkeypatch.setenv(SYNTHETIC_SLOWDOWN_ENV, "smc=1.5,blocking=3")
-        assert synthetic_slowdown("blocking") == 3.0
-        assert synthetic_slowdown("smc") == 1.5
-
-    def test_malformed_and_sub_unity_values_ignored(self, monkeypatch):
-        monkeypatch.setenv(SYNTHETIC_SLOWDOWN_ENV, "blocking=fast")
-        assert synthetic_slowdown("blocking") == 1.0
-        monkeypatch.setenv(SYNTHETIC_SLOWDOWN_ENV, "blocking=0.25")
-        assert synthetic_slowdown("blocking") == 1.0
-
-    def test_blocking_sleeps_proportionally(
-        self, monkeypatch, toy_rule, toy_generalized
-    ):
-        left, right = toy_generalized
-        slept: list[float] = []
-        monkeypatch.setattr("time.sleep", slept.append)
-        monkeypatch.setenv(SYNTHETIC_SLOWDOWN_ENV, "blocking=3.0")
-        result = block(toy_rule, left, right, engine="python")
-        assert len(slept) == 1
-        assert slept[0] > 0.0
-        # Decisions are untouched — only the span gets longer.
-        assert result.total_pairs == 36
-
-    def test_no_sleep_without_the_env(
-        self, monkeypatch, toy_rule, toy_generalized
-    ):
-        left, right = toy_generalized
-        slept: list[float] = []
-        monkeypatch.setattr("time.sleep", slept.append)
-        monkeypatch.delenv(SYNTHETIC_SLOWDOWN_ENV, raising=False)
-        block(toy_rule, left, right, engine="python")
-        assert slept == []
-
-    def test_unset_hook_skips_the_compare_import(
-        self, monkeypatch, toy_rule, toy_generalized
-    ):
-        """Without the env the blocking span never pays for the import."""
-        from repro.linkage import blocking
-
-        assert blocking._SYNTHETIC_SLOWDOWN_ENV == SYNTHETIC_SLOWDOWN_ENV
-        left, right = toy_generalized
-        monkeypatch.delenv(SYNTHETIC_SLOWDOWN_ENV, raising=False)
-        monkeypatch.setitem(sys.modules, "repro.obs.compare", None)
-        block(toy_rule, left, right, engine="python")
-        monkeypatch.setenv(SYNTHETIC_SLOWDOWN_ENV, "blocking=2.0")
-        with pytest.raises(ImportError):
-            block(toy_rule, left, right, engine="python")

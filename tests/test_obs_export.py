@@ -180,10 +180,7 @@ class TestProgressPlumbing:
         telemetry = Telemetry()
         sink = CollectingProgress()
         telemetry.progress = sink
-        block(
-            toy_rule, left, right,
-            engine="numpy", chunk_cells=3, telemetry=telemetry,
-        )
+        block(toy_rule, left, right, chunk_cells=3, telemetry=telemetry)
         chunks = telemetry.metrics.snapshot()["counters"]["blocking.kernel_chunks"]
         events = sink.for_phase("blocking")
         assert len(events) == chunks
@@ -192,18 +189,6 @@ class TestProgressPlumbing:
             range(1, chunks + 1)
         )
         assert all(event.total == chunks for event in events)
-
-    def test_python_blocking_progress_counts_left_classes(
-        self, toy_rule, toy_generalized
-    ):
-        left, right = toy_generalized
-        telemetry = Telemetry()
-        sink = CollectingProgress()
-        telemetry.progress = sink
-        block(toy_rule, left, right, engine="python", telemetry=telemetry)
-        events = sink.for_phase("blocking")
-        assert len(events) == len(left.classes)
-        assert events[-1].finished
 
     def test_smc_progress_one_event_per_observation(
         self, toy_rule, toy_generalized
@@ -228,7 +213,7 @@ class TestProgressPlumbing:
         left, right = toy_generalized
         telemetry = Telemetry()
         # No sink attached: emit_progress must not build events.
-        result = block(toy_rule, left, right, engine="python", telemetry=telemetry)
+        result = block(toy_rule, left, right, telemetry=telemetry)
         assert result.total_pairs == 36
 
 

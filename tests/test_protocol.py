@@ -163,6 +163,35 @@ class TestQueryingParty:
             == outcome.total_pairs
         )
 
+    def test_reused_bridge_reports_each_calls_invocations(
+        self, parties, adult_rule
+    ):
+        """Two links over one bridge each report what they spent."""
+        alice, bob, left_view, right_view = parties
+        bridge = SMCBridge(alice, bob, adult_rule)
+        party = QueryingParty(adult_rule, allowance=0.01)
+        first = party.link(left_view, right_view, bridge)
+        second = party.link(left_view, right_view, bridge)
+        assert first.smc_invocations > 0
+        assert second.smc_invocations == first.smc_invocations
+        assert bridge.invocations == 2 * first.smc_invocations
+        assert second.matched_handles == first.matched_handles
+
+    def test_misbilling_bridge_rejected(self, parties, adult_rule):
+        alice, bob, left_view, right_view = parties
+        bridge = SMCBridge(alice, bob, adult_rule)
+        compare_many = bridge.compare_many
+
+        def overbilling(leases):
+            results = compare_many(leases)
+            bridge.oracle.invocations += 1
+            return results
+
+        bridge.compare_many = overbilling
+        party = QueryingParty(adult_rule, allowance=0.01)
+        with pytest.raises(ProtocolError, match="billed"):
+            party.link(left_view, right_view, bridge)
+
     def test_claim_leftovers_mode(self, parties, adult_rule):
         alice, bob, left_view, right_view = parties
         bridge = SMCBridge(alice, bob, adult_rule)

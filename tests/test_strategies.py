@@ -70,14 +70,21 @@ class TestLearnedClassifier:
         self, setup, adult_rule
     ):
         """Low-score pairs observed matching, high-score pairs not."""
-        from repro.linkage.blocking import ExpectedDistanceCache
+        from repro.linkage.expected import expected_distance_vector
 
         left, right, blocking = setup
-        cache = ExpectedDistanceCache(adult_rule, left, right)
-        scored = sorted(
-            blocking.unknown,
-            key=lambda pair: sum(cache.vector(pair)) / len(adult_rule),
-        )
+        left_positions = [left.qids.index(name) for name in adult_rule.names]
+        right_positions = [right.qids.index(name) for name in adult_rule.names]
+
+        def score(pair):
+            vector = expected_distance_vector(
+                adult_rule.attributes,
+                [pair.left.sequence[p] for p in left_positions],
+                [pair.right.sequence[p] for p in right_positions],
+            )
+            return sum(vector) / len(adult_rule)
+
+        scored = sorted(blocking.unknown, key=score)
         assert len(scored) >= 8
         low = scored[:2]
         high = scored[-2:]
@@ -93,14 +100,10 @@ class TestLearnedClassifier:
         # Everything claimed must score at or below everything not claimed.
         claimed_ids = {id(pair) for pair in claimed}
         claimed_scores = [
-            sum(cache.vector(pair)) / len(adult_rule)
-            for pair in leftovers
-            if id(pair) in claimed_ids
+            score(pair) for pair in leftovers if id(pair) in claimed_ids
         ]
         rejected_scores = [
-            sum(cache.vector(pair)) / len(adult_rule)
-            for pair in leftovers
-            if id(pair) not in claimed_ids
+            score(pair) for pair in leftovers if id(pair) not in claimed_ids
         ]
         if claimed_scores and rejected_scores:
             assert max(claimed_scores) <= min(rejected_scores) + 1e-12
