@@ -257,16 +257,47 @@ class TestAllowanceBoundary:
         assert identities.count(id(partial[0].pair)) == 1
 
 
-class TestRunFromBlocking:
-    """run_from_blocking on a precomputed BlockingResult == run()."""
+def _reference_blocking(config, left, right):
+    """A BlockingResult assembled from the scalar loop of tests/reference.py."""
+    from reference import reference_link
 
-    def test_matches_full_run(self, adult_rule, generalized_pair):
+    from repro.linkage.blocking import BlockingResult, ClassPair
+
+    link = reference_link(config.rule, config.heuristic, left, right, 0.0)
+
+    def pairs(positions):
+        return [ClassPair(left.classes[i], right.classes[j]) for i, j in positions]
+
+    return BlockingResult(
+        rule=config.rule,
+        total_pairs=sum(c.size for c in left.classes)
+        * sum(c.size for c in right.classes),
+        matched=pairs(link.matched_class_pairs),
+        unknown=pairs(link.unknown_class_pairs),
+        nonmatch_pairs=link.blocked_nonmatch_pairs,
+    )
+
+
+class TestRunFromBlocking:
+    """run_from_blocking on a precomputed BlockingResult == run().
+
+    The blocking result comes from the numpy kernel (``block``) or from
+    the plain per-class-pair Python loop the kernel is checked against.
+    """
+
+    @pytest.mark.parametrize("source", ["python", "numpy"])
+    def test_matches_full_run(self, source, adult_rule, generalized_pair):
         from repro.linkage.blocking import block
 
         left, right = generalized_pair
         config = LinkageConfig(adult_rule, allowance=0.01)
         full = HybridLinkage(config).run(left, right)
-        blocking = block(adult_rule, left, right)
+        if source == "numpy":
+            blocking = block(adult_rule, left, right)
+        else:
+            blocking = _reference_blocking(config, left, right)
+        assert blocking.matched_pairs == full.blocking.matched_pairs
+        assert blocking.unknown_pairs == full.blocking.unknown_pairs
         resumed = HybridLinkage(config).run_from_blocking(blocking, left, right)
         assert _decision_fingerprint(resumed) == _decision_fingerprint(full)
         assert resumed.total_pairs == full.total_pairs
