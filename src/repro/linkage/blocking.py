@@ -111,7 +111,10 @@ def check_rule_covers_qids(
     left: GeneralizedRelation,
     right: GeneralizedRelation,
 ) -> None:
-    """Raise unless every rule attribute is a QID of both relations."""
+    """Raise unless every rule attribute is a QID of both sides.
+
+    *left* and *right* are anonymized relations or published views.
+    """
     for name in rule.names:
         if name not in left.qids or name not in right.qids:
             raise ConfigurationError(
@@ -121,23 +124,25 @@ def check_rule_covers_qids(
 
 
 def publish_blocking_metrics(
-    telemetry: Telemetry,
-    result: BlockingResult | ClassPairVerdicts,
-    class_pairs: int,
+    telemetry: Telemetry, verdicts: ClassPairVerdicts
 ) -> None:
-    """Mirror one blocking result into the metrics registry.
+    """Mirror one set of blocking verdicts into the metrics registry.
 
     Shared by the library and the querying party, so both entry points
     publish the same ``blocking.*`` counters.
     """
     if not telemetry.enabled:
         return
+    tables = verdicts.tables
+    class_pairs = len(tables.left_sizes) * len(tables.right_sizes)
     telemetry.counter("blocking.class_pairs").add(class_pairs)
-    telemetry.counter("blocking.matched_class_pairs").add(len(result.matched))
-    telemetry.counter("blocking.unknown_class_pairs").add(len(result.unknown))
-    telemetry.counter("blocking.matched_record_pairs").add(result.matched_pairs)
-    telemetry.counter("blocking.nonmatch_record_pairs").add(result.nonmatch_pairs)
-    telemetry.counter("blocking.unknown_record_pairs").add(result.unknown_pairs)
+    telemetry.counter("blocking.matched_class_pairs").add(len(verdicts.matched))
+    telemetry.counter("blocking.unknown_class_pairs").add(len(verdicts.unknown))
+    telemetry.counter("blocking.matched_record_pairs").add(verdicts.matched_pairs)
+    telemetry.counter("blocking.nonmatch_record_pairs").add(
+        verdicts.nonmatch_pairs
+    )
+    telemetry.counter("blocking.unknown_record_pairs").add(verdicts.unknown_pairs)
 
 
 def block(
@@ -185,7 +190,7 @@ def block(
                 )
             result.nonmatch_pairs = verdicts.nonmatch_pairs
     result.elapsed_seconds = span.duration
-    publish_blocking_metrics(telemetry, result, class_pairs)
+    publish_blocking_metrics(telemetry, verdicts)
     return result
 
 

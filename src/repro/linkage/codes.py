@@ -100,6 +100,16 @@ def _encode_column(
     return codes, values
 
 
+def _class_ids(classes: Sequence) -> np.ndarray:
+    return np.array(
+        [
+            getattr(eq_class, "class_id", position)
+            for position, eq_class in enumerate(classes)
+        ],
+        dtype=np.int64,
+    )
+
+
 class CodeTables:
     """Shared integer encodings for one ``(rule, left, right)`` triple.
 
@@ -111,6 +121,8 @@ class CodeTables:
     ``left_codes[a]`` / ``right_codes[a]`` map class index to value code
     for rule attribute ``a``; :meth:`verdict_matrix` and
     :meth:`expected_matrix` expose the dense per-attribute decision tables.
+    ``left_ids`` / ``right_ids`` map class index to class id: a published
+    class's ``class_id``, or the index itself for a relation's classes.
     """
 
     def __init__(
@@ -145,6 +157,8 @@ class CodeTables:
         self.right_sizes = np.array(
             [eq_class.size for eq_class in right.classes], dtype=np.int64
         )
+        self.left_ids = _class_ids(left.classes)
+        self.right_ids = _class_ids(right.classes)
         self._verdicts: list[np.ndarray | None] = [None] * len(rule)
         self._expected: list[np.ndarray | None] = [None] * len(rule)
         self._left_index: dict[EquivalenceClass, int] | None = None

@@ -13,30 +13,24 @@ evaluates three heuristics built on expected distances:
 strategy 3 of Section V-B (the learned classifier) requires an unbiased
 training sample.
 
-All heuristics sort class pairs ascending by a score; ties break towards
-smaller class pairs (cheaper certainty first) and then deterministically by
-class position ``(left, right)`` in the input relations, so runs are
-reproducible. A class pair whose classes do not belong to the given
-relations is a :class:`~repro.errors.ConfigurationError`.
-
-Ordering gathers per-attribute expected-distance matrices through the
-shared code tables (:mod:`repro.linkage.codes`) and reduces hundreds of
-thousands of class pairs to one ``np.lexsort``.
+Heuristics order class positions over the shared code tables
+(:mod:`repro.linkage.codes`). All of them sort class pairs ascending by a
+score; ties break towards smaller class pairs (cheaper certainty first)
+and then deterministically by class id ``(left, right)`` — a published
+view's own ids, a relation's class positions — so runs are reproducible.
+Ordering gathers per-attribute expected-distance matrices and reduces
+hundreds of thousands of class pairs to one ``np.lexsort``.
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from collections.abc import Sequence
 
 import numpy as np
 
 from repro._rng import make_random
-from repro.anonymize.base import GeneralizedRelation
-from repro.linkage.blocking import ClassPair
 from repro.linkage.codes import CodeTables
-from repro.linkage.distances import MatchRule
 from repro.obs import NOOP_TELEMETRY, Telemetry
 
 
@@ -47,15 +41,18 @@ class SelectionHeuristic(abc.ABC):
 
     def order(
         self,
-        unknown: Sequence[ClassPair],
-        rule: MatchRule,
-        left: GeneralizedRelation,
-        right: GeneralizedRelation,
+        unknown: np.ndarray,
+        tables: CodeTables,
         telemetry: Telemetry = NOOP_TELEMETRY,
-    ) -> list[ClassPair]:
-        """Return *unknown* in consumption order (best candidates first)."""
-        if not unknown:
-            return []
+    ) -> np.ndarray:
+        """Consumption order of *unknown* (best candidates first).
+
+        *unknown* is an ``(n, 2)`` array of ``(left, right)`` class
+        positions into *tables*; the result lists its row indices in the
+        order the SMC step consumes them.
+        """
+        if not len(unknown):
+            return np.empty(0, dtype=np.intp)
         with telemetry.span(
             "select.score.numpy", heuristic=self.name, pairs=len(unknown)
         ):
@@ -63,15 +60,14 @@ class SelectionHeuristic(abc.ABC):
             telemetry.emit_progress(
                 "select", 0, len(unknown), unit="pairs", heuristic=self.name
             )
-            tables = CodeTables(rule, left, right)
-            left_idx, right_idx = tables.pair_positions(unknown)
-            scores = self.score_array(
-                tables.expected_for_pairs(left_idx, right_idx)
-            )
-            sizes = tables.left_sizes[left_idx] * tables.right_sizes[right_idx]
+            left, right = unknown[:, 0], unknown[:, 1]
+            scores = self.score_array(tables.expected_for_pairs(left, right))
+            sizes = tables.left_sizes[left] * tables.right_sizes[right]
             # lexsort keys run least- to most-significant: score, then
-            # size, then (left, right) class position.
-            order = np.lexsort((right_idx, left_idx, sizes, scores))
+            # size, then (left, right) class id.
+            order = np.lexsort(
+                (tables.right_ids[right], tables.left_ids[left], sizes, scores)
+            )
             telemetry.emit_progress(
                 "select",
                 len(unknown),
@@ -79,7 +75,7 @@ class SelectionHeuristic(abc.ABC):
                 unit="pairs",
                 heuristic=self.name,
             )
-            return [unknown[position] for position in order.tolist()]
+            return order
 
     @abc.abstractmethod
     def score(self, vector: tuple[float, ...]) -> float:
@@ -148,43 +144,25 @@ class RandomSelection(SelectionHeuristic):
     def __init__(self, seed: int | random.Random | None = None):
         self._rng = make_random(seed)
 
-    def order(self, unknown, rule, left, right, telemetry=NOOP_TELEMETRY):
+    def order(self, unknown, tables, telemetry=NOOP_TELEMETRY):
+        # Shuffling the row indices draws exactly what shuffling the
+        # row-major class pairs themselves would.
         with telemetry.span(
             "select.shuffle", heuristic=self.name, pairs=len(unknown)
         ):
-            shuffled = list(unknown)
-            self._rng.shuffle(shuffled)
+            order = list(range(len(unknown)))
+            self._rng.shuffle(order)
             telemetry.emit_progress(
                 "select",
-                len(shuffled),
-                len(shuffled),
+                len(order),
+                len(order),
                 unit="pairs",
                 heuristic=self.name,
             )
-            return shuffled
+            return np.array(order, dtype=np.intp)
 
     def score(self, vector: tuple[float, ...]) -> float:  # pragma: no cover
         return 0.0
-
-
-def average_expected_scores(
-    pairs: Sequence[ClassPair],
-    rule: MatchRule,
-    left: GeneralizedRelation,
-    right: GeneralizedRelation,
-    telemetry: Telemetry = NOOP_TELEMETRY,
-) -> list[float]:
-    """Average expected-distance score per class pair (minAvgFirst's score).
-
-    Shared by the learned leftover classifier (strategy 3), which both
-    trains and predicts on this one feature.
-    """
-    if not pairs:
-        return []
-    telemetry.counter("select.pairs_scored").add(len(pairs))
-    tables = CodeTables(rule, left, right)
-    matrix = tables.expected_for_pairs(*tables.pair_positions(pairs))
-    return MinAvgFirst().score_array(matrix).tolist()
 
 
 HEURISTICS = {

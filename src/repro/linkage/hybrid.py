@@ -8,6 +8,9 @@
    pairs, in order, through the configured :class:`SMCOracle`;
 4. hand whatever the allowance never reached to the leftover strategy.
 
+Steps 2–4 are the querying party's :func:`repro.protocol.link_unknown`,
+run in-process: the library and the three-party protocol share them.
+
 Record pairs inside one class pair are indistinguishable from the
 anonymized view, so they are consumed in deterministic row-major order;
 when the allowance runs out mid-class-pair, the remainder of that pair
@@ -31,23 +34,25 @@ import numpy as np
 from repro.anonymize.base import GeneralizedRelation
 from repro.crypto.smc.oracle import CountingPlaintextOracle, SMCOracle
 from repro.data.schema import Schema
-from repro.errors import ConfigurationError, PipelineError
+from repro.errors import ConfigurationError, PipelineError, ProtocolError
 from repro.linkage.blocking import BlockingResult, ClassPair, block
-from repro.linkage.columns import BlockLease, RecordColumns, plan_leases
+from repro.linkage.codes import CodeTables
 from repro.linkage.distances import MatchRule
 from repro.linkage.heuristics import MinAvgFirst, SelectionHeuristic
 from repro.linkage.strategies import (
     LeftoverStrategy,
     MaximizePrecision,
-    SMCObservation,
+    check_selection,
 )
 from repro.obs import NOOP_TELEMETRY, Telemetry
+from repro.protocol import DataHolder, SMCBridge, link_unknown
 
 __all__ = [
     "HybridLinkage",
     "LinkageConfig",
     "LinkageResult",
     "OracleFactory",
+    "SMCObservation",
 ]
 
 OracleFactory = Callable[[MatchRule, Schema], SMCOracle]
@@ -87,18 +92,21 @@ class LinkageConfig:
     telemetry: Telemetry = field(default=NOOP_TELEMETRY, repr=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.allowance <= 1.0:
-            raise ConfigurationError(
-                f"SMC allowance {self.allowance} must be a fraction in [0, 1]"
-            )
-        if (
-            self.strategy.requires_random_selection
-            and self.heuristic.name != "random"
-        ):
-            raise ConfigurationError(
-                f"strategy {self.strategy.name!r} trains on the SMC sample and "
-                "requires the 'random' selection heuristic (paper Section V-B)"
-            )
+        check_selection(self.allowance, self.heuristic, self.strategy)
+
+
+@dataclass(frozen=True)
+class SMCObservation:
+    """What the SMC step learned about one class pair.
+
+    ``compared`` record pairs were run through the protocol (possibly fewer
+    than ``pair.size`` when the allowance ran out mid-pair) and ``matches``
+    of them matched.
+    """
+
+    pair: ClassPair
+    compared: int
+    matches: int
 
 
 @dataclass
@@ -210,9 +218,9 @@ class HybridLinkage:
         generalized views influence blocking and selection.
 
         With a recording :class:`~repro.obs.Telemetry` configured the
-        whole run lands in the trace as ``linkage.run`` with one child
-        span per phase (blocking, selection, SMC, leftovers) and kernel-
-        or oracle-level grandchildren below those.
+        whole run lands in the trace as ``linkage.run`` with a
+        ``blocking`` child and a ``linkage.link`` child that holds the
+        ``select``, ``linkage.smc`` and ``linkage.leftovers`` spans.
         """
         if left.source.schema != right.source.schema:
             raise ConfigurationError("input relations must share a schema")
@@ -234,6 +242,13 @@ class HybridLinkage:
         Parameter sweeps reuse one blocking result across heuristics and
         allowances (blocking does not depend on either), which is also how
         the paper structures its experiments.
+
+        Both relations are adopted by in-process
+        :class:`~repro.protocol.DataHolder` objects, and the querying party's
+        :func:`~repro.protocol.link_unknown` runs the steps through an
+        in-process :class:`~repro.protocol.SMCBridge`. The oracle must bill
+        exactly the leased record pairs; anything else is a
+        :class:`PipelineError`.
         """
         config = self.config
         telemetry = config.telemetry
@@ -244,145 +259,54 @@ class HybridLinkage:
             strategy=config.strategy.name,
             allowance_pairs=allowance_pairs,
         ) as link_span:
-            with telemetry.span(
-                "linkage.select", heuristic=config.heuristic.name
-            ):
-                ordered = config.heuristic.order(
-                    blocking.unknown, config.rule, left, right,
-                    telemetry=telemetry,
-                )
-            smc = _compare_leases(config, ordered, allowance_pairs, left, right)
-            claimed = _claim_leftovers(
-                config, smc.leftovers, smc.observations, left, right
+            tables = CodeTables(config.rule, left, right)
+            unknown = np.column_stack(tables.pair_positions(blocking.unknown))
+            bridge = SMCBridge(
+                DataHolder.adopt("left", left),
+                DataHolder.adopt("right", right),
+                config.rule,
+                config.oracle_factory,
             )
+            oracle = bridge.oracle
+            if telemetry.enabled:
+                oracle.attach_telemetry(telemetry)
+            try:
+                link = link_unknown(
+                    tables,
+                    unknown,
+                    bridge,
+                    config.heuristic,
+                    config.strategy,
+                    allowance_pairs,
+                    telemetry,
+                )
+            except ProtocolError as error:
+                raise PipelineError(str(error)) from error
+            if telemetry.enabled:
+                oracle.publish_metrics()
+        ordered = [blocking.unknown[row] for row in link.order.tolist()]
+        observations = []
+        smc_matched = []
+        for pair, lease, offsets in zip(ordered, link.leases, link.offsets):
+            left_indices = pair.left.indices
+            right_indices = pair.right.indices
+            smc_matched.extend(
+                (left_indices[left_offset], right_indices[right_offset])
+                for left_offset, right_offset in offsets
+            )
+            observations.append(SMCObservation(pair, lease.take, len(offsets)))
+            # Free each lease's offsets once mapped: they and the record
+            # pairs built from them are then never all alive at once.
+            offsets.clear()
         return LinkageResult(
             total_pairs=blocking.total_pairs,
             blocking=blocking,
             allowance_pairs=allowance_pairs,
-            smc_invocations=smc.invocations,
-            smc_matched_pairs=smc.smc_matched,
-            observations=smc.observations,
-            leftovers=smc.leftovers,
-            claimed=list(claimed),
-            attribute_comparisons=smc.attribute_comparisons,
+            smc_invocations=link.invocations,
+            smc_matched_pairs=smc_matched,
+            observations=observations,
+            leftovers=ordered[link.leftover_start :],
+            claimed=[blocking.unknown[row] for row in link.claimed.tolist()],
+            attribute_comparisons=oracle.attribute_comparisons,
             elapsed_seconds=link_span.duration,
         )
-
-
-@dataclass
-class _SMCOutcome:
-    """What the SMC step hands the leftover step and the result."""
-
-    observations: list[SMCObservation] = field(default_factory=list)
-    smc_matched: list[tuple[int, int]] = field(default_factory=list)
-    leftovers: list[ClassPair] = field(default_factory=list)
-    invocations: int = 0
-    attribute_comparisons: int = 0
-
-
-def _compare_leases(
-    config: LinkageConfig,
-    ordered: list[ClassPair],
-    allowance_pairs: int,
-    left: GeneralizedRelation,
-    right: GeneralizedRelation,
-) -> _SMCOutcome:
-    """Spend the allowance comparing record pairs, in order.
-
-    The allowance becomes greedy prefix budget leases over the ordered
-    class pairs (:func:`~repro.linkage.columns.plan_leases`); both sources
-    are encoded once into columns and the oracle runs the leases in order,
-    one ``compare_block`` call each. The oracle must bill exactly the
-    leased record pairs; anything else is a :class:`PipelineError`.
-    """
-    telemetry = config.telemetry
-    takes, granted = plan_leases([pair.size for pair in ordered], allowance_pairs)
-    leased = ordered[: len(takes)]
-    outcome = _SMCOutcome()
-    # Leftover order: the one possibly-partial pair (always the last
-    # lease), then the class pairs the allowance never reached.
-    if takes and takes[-1] < leased[-1].size:
-        outcome.leftovers.append(leased[-1])
-    outcome.leftovers.extend(ordered[len(takes):])
-    left_columns = RecordColumns.from_relation(left.source, config.rule.names)
-    right_columns = RecordColumns.from_relation(right.source, config.rule.names)
-    leases = [
-        BlockLease(
-            np.array(pair.left.indices, dtype=np.intp),
-            np.array(pair.right.indices, dtype=np.intp),
-            take,
-        )
-        for pair, take in zip(leased, takes)
-    ]
-    oracle = config.oracle_factory(config.rule, left.source.schema)
-    if telemetry.enabled:
-        oracle.attach_telemetry(telemetry)
-    backend = type(oracle).__name__
-    with telemetry.span("linkage.smc", backend=backend) as smc_span:
-        with telemetry.span("oracle.compare", backend=backend):
-            # One lease per call: only one lease's offsets are alive at a
-            # time.
-            matched = (
-                oracle.compare_block(left_columns, right_columns, [lease])[0]
-                for lease in leases
-            )
-            spent = 0
-            for position, (pair, take, offsets) in enumerate(
-                zip(leased, takes, matched)
-            ):
-                left_indices = pair.left.indices
-                right_indices = pair.right.indices
-                outcome.smc_matched.extend(
-                    (left_indices[left_offset], right_indices[right_offset])
-                    for left_offset, right_offset in offsets
-                )
-                outcome.observations.append(
-                    SMCObservation(pair, take, len(offsets))
-                )
-                spent += take
-                telemetry.histogram("smc.class_pair_take").observe(take)
-                telemetry.emit_progress(
-                    "smc",
-                    spent,
-                    allowance_pairs,
-                    unit="pairs",
-                    matches=len(outcome.smc_matched),
-                    class_pairs=position + 1,
-                )
-        outcome.invocations = oracle.invocations
-        outcome.attribute_comparisons = oracle.attribute_comparisons
-        smc_span.annotate(
-            invocations=outcome.invocations,
-            matches=len(outcome.smc_matched),
-        )
-    if outcome.invocations != granted:
-        raise PipelineError(
-            f"the oracle billed {outcome.invocations} invocations but the "
-            f"budget leases granted {granted} record pairs"
-        )
-    if telemetry.enabled:
-        oracle.publish_metrics()
-        telemetry.counter("smc.allowance_pairs").add(allowance_pairs)
-        telemetry.counter("smc.matched_pairs").add(len(outcome.smc_matched))
-    return outcome
-
-
-def _claim_leftovers(
-    config: LinkageConfig,
-    leftovers: list[ClassPair],
-    observations: list[SMCObservation],
-    left: GeneralizedRelation,
-    right: GeneralizedRelation,
-) -> list[ClassPair]:
-    """Hand what the allowance never reached to the leftover strategy."""
-    telemetry = config.telemetry
-    strategy = config.strategy
-    with telemetry.span("linkage.leftovers", strategy=strategy.name):
-        claimed = strategy.claim_matches(
-            leftovers, observations, config.rule, left, right,
-            telemetry=telemetry,
-        )
-    if telemetry.enabled:
-        telemetry.counter("leftovers.class_pairs").add(len(leftovers))
-        telemetry.counter("leftovers.claimed_class_pairs").add(len(claimed))
-    return claimed

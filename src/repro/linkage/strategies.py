@@ -16,36 +16,36 @@ The paper analyzes three strategies:
    argues, and our ablation benchmark confirms, that anonymized data is too
    coarse for ``c3`` to attain both high precision and recall.
 
-Strategies receive the SMC step's per-class-pair observations and return
-the leftover class pairs they *claim* as matches; evaluation later verifies
-those claims against ground truth.
+Strategies see the unknown class pairs as ``(left, right)`` class
+positions into the shared code tables (:mod:`repro.linkage.codes`): the
+leftovers, and an :class:`SMCSample` of what the SMC step learned about
+the class pairs it leased. They return the leftovers they *claim* as
+matches; evaluation later verifies those claims against ground truth.
 """
 
 from __future__ import annotations
 
 import abc
-from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from repro.anonymize.base import GeneralizedRelation
-from repro.linkage.blocking import ClassPair
-from repro.linkage.distances import MatchRule
-from repro.linkage.heuristics import average_expected_scores
+import numpy as np
+
+from repro.errors import ConfigurationError
+from repro.linkage.codes import CodeTables
+from repro.linkage.heuristics import MinAvgFirst, SelectionHeuristic
 from repro.obs import NOOP_TELEMETRY, Telemetry
 
 
-@dataclass(frozen=True)
-class SMCObservation:
-    """What the SMC step learned about one class pair.
+class SMCSample(NamedTuple):
+    """The SMC step's observations, one row per leased class pair.
 
-    ``compared`` record pairs were run through the protocol (possibly fewer
-    than ``pair.size`` when the allowance ran out mid-pair) and ``matches``
-    of them matched.
+    ``pairs`` is an ``(n, 2)`` array of class positions; ``compared`` and
+    ``matches`` count the record pairs compared and matched in each.
     """
 
-    pair: ClassPair
-    compared: int
-    matches: int
+    pairs: np.ndarray
+    compared: np.ndarray
+    matches: np.ndarray
 
 
 class LeftoverStrategy(abc.ABC):
@@ -58,18 +58,38 @@ class LeftoverStrategy(abc.ABC):
     @abc.abstractmethod
     def claim_matches(
         self,
-        leftovers: Sequence[ClassPair],
-        observations: Sequence[SMCObservation],
-        rule: MatchRule,
-        left: GeneralizedRelation,
-        right: GeneralizedRelation,
+        leftovers: np.ndarray,
+        sample: SMCSample,
+        tables: CodeTables,
         telemetry: Telemetry = NOOP_TELEMETRY,
-    ) -> list[ClassPair]:
-        """Return the leftover class pairs to claim (unverified) as matches.
+    ) -> np.ndarray:
+        """Row indices of the *leftovers* to claim (unverified) as matches.
 
-        *telemetry* records scoring work for strategies that rank class
-        pairs.
+        *leftovers* is an ``(n, 2)`` array of class positions into
+        *tables*. *telemetry* records scoring work for strategies that rank
+        class pairs.
         """
+
+
+def check_selection(
+    allowance: float,
+    heuristic: SelectionHeuristic,
+    strategy: LeftoverStrategy,
+) -> None:
+    """Raise :class:`ConfigurationError` for settings no run can honour.
+
+    The allowance is a fraction of |D1 x D2|, and a strategy that trains
+    on the SMC sample needs random selection (paper Section V-B).
+    """
+    if not 0.0 <= allowance <= 1.0:
+        raise ConfigurationError(
+            f"SMC allowance {allowance} must be a fraction in [0, 1]"
+        )
+    if strategy.requires_random_selection and heuristic.name != "random":
+        raise ConfigurationError(
+            f"strategy {strategy.name!r} trains on the SMC sample and "
+            "requires the 'random' selection heuristic (paper Section V-B)"
+        )
 
 
 class MaximizePrecision(LeftoverStrategy):
@@ -77,11 +97,8 @@ class MaximizePrecision(LeftoverStrategy):
 
     name = "maximize-precision"
 
-    def claim_matches(
-        self, leftovers, observations, rule, left, right,
-        telemetry=NOOP_TELEMETRY,
-    ):
-        return []
+    def claim_matches(self, leftovers, sample, tables, telemetry=NOOP_TELEMETRY):
+        return np.empty(0, dtype=np.intp)
 
 
 class MaximizeRecall(LeftoverStrategy):
@@ -89,11 +106,8 @@ class MaximizeRecall(LeftoverStrategy):
 
     name = "maximize-recall"
 
-    def claim_matches(
-        self, leftovers, observations, rule, left, right,
-        telemetry=NOOP_TELEMETRY,
-    ):
-        return list(leftovers)
+    def claim_matches(self, leftovers, sample, tables, telemetry=NOOP_TELEMETRY):
+        return np.arange(len(leftovers))
 
 
 class LearnedClassifier(LeftoverStrategy):
@@ -114,38 +128,19 @@ class LearnedClassifier(LeftoverStrategy):
     name = "learned-classifier"
     requires_random_selection = True
 
-    def claim_matches(
-        self, leftovers, observations, rule, left, right,
-        telemetry=NOOP_TELEMETRY,
-    ):
-        if not observations or not leftovers:
-            return []
-        trained = [
-            observation for observation in observations if observation.compared
-        ]
-        training_scores = average_expected_scores(
-            [observation.pair for observation in trained],
-            rule, left, right, telemetry,
+    def claim_matches(self, leftovers, sample, tables, telemetry=NOOP_TELEMETRY):
+        if not len(sample.pairs) or not len(leftovers):
+            return np.empty(0, dtype=np.intp)
+        examples = zip(  # (score, positives, negatives)
+            _average_scores(sample.pairs, tables, telemetry).tolist(),
+            sample.matches.tolist(),
+            (sample.compared - sample.matches).tolist(),
         )
-        examples = [  # (score, positives, negatives)
-            (
-                score,
-                observation.matches,
-                observation.compared - observation.matches,
-            )
-            for observation, score in zip(trained, training_scores)
-        ]
-        threshold = self._best_threshold(examples)
+        threshold = self._best_threshold(list(examples))
         if threshold is None:
-            return []
-        leftover_scores = average_expected_scores(
-            list(leftovers), rule, left, right, telemetry
-        )
-        return [
-            pair
-            for pair, score in zip(leftovers, leftover_scores)
-            if score <= threshold
-        ]
+            return np.empty(0, dtype=np.intp)
+        scores = _average_scores(leftovers, tables, telemetry)
+        return np.flatnonzero(scores <= threshold)
 
     @staticmethod
     def _best_threshold(examples) -> float | None:
@@ -175,6 +170,16 @@ class LearnedClassifier(LeftoverStrategy):
                 best_errors = errors
                 best_threshold = score
         return best_threshold
+
+
+def _average_scores(
+    pairs: np.ndarray, tables: CodeTables, telemetry: Telemetry
+) -> np.ndarray:
+    """minAvgFirst's score of each class pair in *pairs*."""
+    telemetry.counter("select.pairs_scored").add(len(pairs))
+    return MinAvgFirst().score_array(
+        tables.expected_for_pairs(pairs[:, 0], pairs[:, 1])
+    )
 
 
 STRATEGIES = {

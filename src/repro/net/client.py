@@ -32,6 +32,7 @@ from repro.errors import (
 )
 from repro.linkage.distances import MatchRule
 from repro.linkage.heuristics import SelectionHeuristic
+from repro.linkage.strategies import LeftoverStrategy, MaximizePrecision
 from repro.net.session import SessionState, SessionStateMachine
 from repro.net.transport import (
     DEFAULT_TIMEOUT,
@@ -426,8 +427,9 @@ class QueryingPartyClient:
 
     ``alice`` plays the bridge role (owns the oracle and the holder link
     to ``bob``); the decision logic is the unchanged
-    :class:`repro.protocol.QueryingParty`, which records its ``blocking``
-    and ``select`` spans on this client's telemetry, inside ``net.smc``.
+    :class:`repro.protocol.QueryingParty`, which records its ``blocking``,
+    ``select``, ``linkage.smc`` and ``linkage.leftovers`` spans on this
+    client's telemetry, inside ``net.smc``.
     """
 
     def __init__(
@@ -438,7 +440,7 @@ class QueryingPartyClient:
         *,
         allowance: float = 0.015,
         heuristic: SelectionHeuristic | None = None,
-        claim_leftovers: bool = False,
+        strategy: LeftoverStrategy = MaximizePrecision(),
         batch_size: int = DEFAULT_BATCH_SIZE,
         timeout: float = DEFAULT_TIMEOUT,
         telemetry: Telemetry = NOOP_TELEMETRY,
@@ -449,7 +451,7 @@ class QueryingPartyClient:
         self.bob = bob
         self.allowance = allowance
         self.heuristic = heuristic
-        self.claim_leftovers = claim_leftovers
+        self.strategy = strategy
         self.batch_size = batch_size
         self.timeout = timeout
         self.telemetry = telemetry
@@ -493,7 +495,7 @@ class QueryingPartyClient:
                     self.rule,
                     allowance=self.allowance,
                     heuristic=self.heuristic,
-                    claim_leftovers=self.claim_leftovers,
+                    strategy=self.strategy,
                     telemetry=self.telemetry,
                 )
                 with self.telemetry.span("net.smc", session=bridge.session_id):

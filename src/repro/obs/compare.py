@@ -30,6 +30,10 @@ change legitimately moves them.
 An end-to-end result line yields ``link_s``, ``setup_s`` and
 ``peak_rss_mb``, all lower-is-better. A line that says ``"correct":
 false`` is refused (exit 2): the timings of a wrong run compare nothing.
+A paired before/after record (``"benchmark": "e2e-paired"``, as the
+history keeps them) yields the same three metrics as the medians of its
+``change`` side over its pairs, and is refused likewise unless its
+``outputs_both_sides`` were correct.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from __future__ import annotations
 import fnmatch
 import json
 import platform
+import statistics
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -169,12 +174,29 @@ def _e2e_metrics(document: dict) -> dict[str, Metric]:
     }
 
 
+def _paired_metrics(document: dict) -> dict[str, Metric]:
+    """The change side's median of each end-to-end metric over the pairs."""
+    if (document.get("outputs_both_sides") or {}).get("correct") is not True:
+        raise ValueError(
+            "compare: the paired runs were not correct; their timings "
+            "compare nothing"
+        )
+    changes = [pair["change"] for pair in document.get("pairs") or []]
+    return {
+        name: Metric(float(statistics.median(run[name] for run in changes)))
+        for name in E2E_METRICS
+        if changes and all(name in run for run in changes)
+    }
+
+
 def extract_metrics(document: dict) -> dict[str, Metric]:
     """Flatten any supported document into ``{name: Metric}``.
 
     Supported shapes: a run report, an ``e2ebench/run.py`` result line
-    (``{"correct", "attempted", "failed", "metrics"}``), or a history
-    record wrapping either.
+    (``{"correct", "attempted", "failed", "metrics"}``), a paired
+    before/after record (``{"benchmark": "e2e-paired", "pairs": [...]}``,
+    read as its change side's medians), or a history record wrapping any
+    of these.
     """
     # Imported here, not at module top: this module is a ``python -m``
     # target and must not be in the import graph of ``import repro``.
@@ -188,9 +210,11 @@ def extract_metrics(document: dict) -> dict[str, Metric]:
         return _report_metrics(document)
     if "correct" in document and "metrics" in document:
         return _e2e_metrics(document)
+    if document.get("benchmark") == "e2e-paired":
+        return _paired_metrics(document)
     raise ValueError(
         "compare: unrecognized document (expected a repro.obs run report, "
-        "an e2ebench result line, or a history record)"
+        "an e2ebench result line, a paired e2e record, or a history record)"
     )
 
 

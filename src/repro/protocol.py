@@ -41,19 +41,25 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.anonymize.base import Anonymizer
+from repro.anonymize.base import Anonymizer, GeneralizedRelation
 from repro.crypto.smc.oracle import CountingPlaintextOracle, SMCOracle
 from repro.data.schema import Relation
 from repro.errors import ConfigurationError, ProtocolError
 from repro.linkage.blocking import (
-    ClassPair,
-    ClassPairVerdicts,
     block_positions,
+    check_rule_covers_qids,
     publish_blocking_metrics,
 )
+from repro.linkage.codes import CodeTables
 from repro.linkage.columns import BlockLease, RecordColumns, plan_leases
 from repro.linkage.distances import MatchRule
 from repro.linkage.heuristics import MinAvgFirst, SelectionHeuristic
+from repro.linkage.strategies import (
+    LeftoverStrategy,
+    MaximizePrecision,
+    SMCSample,
+    check_selection,
+)
 from repro.obs import NOOP_TELEMETRY, Telemetry
 
 #: A record handle the querying party may hold: (class_id, offset).
@@ -127,7 +133,22 @@ class DataHolder:
         can choose different anonymization methods, anonymity levels,
         quasi-identifier attribute sets" (Section I).
         """
-        generalized = anonymizer.anonymize(self.__relation, qids, k)
+        return self._adopt(anonymizer.anonymize(self.__relation, qids, k))
+
+    @classmethod
+    def adopt(cls, name: str, generalized: GeneralizedRelation) -> DataHolder:
+        """A holder of *generalized*'s source that publishes *generalized*.
+
+        This is how the in-process library hands relations it anonymized
+        itself to the protocol: class ``i`` of *generalized* is published
+        with ``class_id`` ``i``.
+        """
+        holder = cls(name, generalized.source)
+        holder._adopt(generalized)
+        return holder
+
+    def _adopt(self, generalized: GeneralizedRelation) -> PublishedView:
+        qids = generalized.qids
         self.__class_rows = [
             np.array(eq_class.indices, dtype=np.intp)
             for eq_class in generalized.classes
@@ -295,6 +316,106 @@ def verified_match_handles(
     return handles
 
 
+@dataclass
+class UnknownLink:
+    """What :func:`link_unknown` decided about the unknown class pairs.
+
+    ``order`` lists row indices of the unknown positions in consumption
+    order. Its first ``len(leases)`` entries were leased, with
+    ``offsets[i]`` the matching ``(left_offset, right_offset)`` positions
+    of ``leases[i]``. The leftovers are ``order[leftover_start:]`` (the
+    partially leased class pair, if any, then those the allowance never
+    reached), and ``claimed`` lists the row indices of the leftovers the
+    strategy claims, in leftover order.
+    """
+
+    order: np.ndarray
+    leases: list[Lease]
+    offsets: list[list[tuple[int, int]]]
+    leftover_start: int
+    claimed: np.ndarray
+    invocations: int
+
+
+def link_unknown(
+    tables: CodeTables,
+    unknown: np.ndarray,
+    bridge: SMCBridge,
+    heuristic: SelectionHeuristic,
+    strategy: LeftoverStrategy,
+    allowance_pairs: int,
+    telemetry: Telemetry = NOOP_TELEMETRY,
+) -> UnknownLink:
+    """The hybrid method after blocking (paper Sections V-B and V-C).
+
+    *unknown* holds the ``(left, right)`` class positions into *tables*
+    that blocking left undecided. The heuristic orders them; the allowance
+    becomes greedy prefix budget leases over that order
+    (:func:`~repro.linkage.columns.plan_leases`), which go to *bridge* in
+    one ``compare_many`` call; the strategy then labels the leftovers.
+    Record pairs inside a class pair are indistinguishable from the
+    anonymized views, so a lease compares the first ``take`` of them in
+    row-major order and the remainder becomes leftovers.
+
+    The bridge's ``invocations`` must grow by exactly the leased record
+    pairs, or the call raises :class:`ProtocolError`; a bridge may be
+    reused across calls.
+    """
+    with telemetry.span("select", heuristic=heuristic.name, pairs=len(unknown)):
+        order = heuristic.order(unknown, tables, telemetry=telemetry)
+    ordered = unknown[order]
+    sizes = tables.left_sizes[ordered[:, 0]] * tables.right_sizes[ordered[:, 1]]
+    takes, granted = plan_leases(sizes.tolist(), allowance_pairs)
+    leased = ordered[: len(takes)]
+    leases = [Lease(*ids, take) for ids, take in zip(_id_pairs(tables, leased), takes)]
+    with telemetry.span("linkage.smc", leases=len(leases)) as smc_span:
+        billed = bridge.invocations
+        offsets = bridge.compare_many(leases)
+        billed = bridge.invocations - billed
+        if len(offsets) != len(leases):
+            raise ProtocolError(
+                f"bridge answered {len(offsets)} of {len(leases)} leases"
+            )
+        matches = [len(lease_offsets) for lease_offsets in offsets]
+        spent = matched = 0
+        for position, (take, count) in enumerate(zip(takes, matches)):
+            spent += take
+            matched += count
+            telemetry.histogram("smc.class_pair_take").observe(take)
+            telemetry.emit_progress(
+                "smc",
+                spent,
+                allowance_pairs,
+                unit="pairs",
+                matches=matched,
+                class_pairs=position + 1,
+            )
+        smc_span.annotate(invocations=billed, matches=matched)
+    if billed != granted:
+        raise ProtocolError(
+            f"the bridge billed {billed} invocations for leases of "
+            f"{granted} record pairs"
+        )
+    telemetry.counter("smc.allowance_pairs").add(allowance_pairs)
+    telemetry.counter("smc.matched_pairs").add(matched)
+    leftover_start = len(takes)
+    if takes and takes[-1] < sizes[leftover_start - 1]:
+        leftover_start -= 1  # the partially leased class pair
+    leftovers = order[leftover_start:]
+    sample = SMCSample(
+        leased, np.array(takes, dtype=np.int64), np.array(matches, dtype=np.int64)
+    )
+    with telemetry.span("linkage.leftovers", strategy=strategy.name):
+        claimed = leftovers[
+            strategy.claim_matches(
+                unknown[leftovers], sample, tables, telemetry=telemetry
+            )
+        ]
+    telemetry.counter("leftovers.class_pairs").add(len(leftovers))
+    telemetry.counter("leftovers.claimed_class_pairs").add(len(claimed))
+    return UnknownLink(order, leases, offsets, leftover_start, claimed, billed)
+
+
 class QueryingParty:
     """The party that provides the classifier and receives the join.
 
@@ -309,18 +430,18 @@ class QueryingParty:
         *,
         allowance: float = 0.015,
         heuristic: SelectionHeuristic | None = None,
-        claim_leftovers: bool = False,
+        strategy: LeftoverStrategy = MaximizePrecision(),
         telemetry: Telemetry = NOOP_TELEMETRY,
     ):
-        if not 0.0 <= allowance <= 1.0:
-            raise ConfigurationError("allowance must be a fraction in [0, 1]")
         self.rule = rule
         self.allowance = allowance
         self.heuristic = heuristic or MinAvgFirst()
-        #: Strategy 2 (maximize recall) when true; strategy 1 otherwise.
-        self.claim_leftovers = claim_leftovers
-        #: Receives the ``blocking`` and ``select`` spans and the same
-        #: ``blocking.*`` counters the library publishes.
+        #: Labels the leftovers (paper Section V-B); strategy 1 by default.
+        self.strategy = strategy
+        check_selection(allowance, self.heuristic, self.strategy)
+        #: Receives the ``blocking``, ``select``, ``linkage.smc`` and
+        #: ``linkage.leftovers`` spans and the counters the library
+        #: publishes.
         self.telemetry = telemetry
 
     def link(
@@ -329,89 +450,44 @@ class QueryingParty:
         right_view: PublishedView,
         bridge: SMCBridge,
     ) -> ProtocolOutcome:
-        """Run blocking + budgeted SMC over two published views.
+        """Run the hybrid method over two published views.
 
         Blocking runs the library's numpy kernel
-        (:func:`~repro.linkage.blocking.block_positions`) on the views, and
-        the unknown class pairs are scored on the same code tables and
-        ordered like the library orders them. The allowance is then
-        planned as greedy prefix budget leases over that order, and every
-        lease goes to the bridge in one ``compare_many`` call; handles are
-        built only for the matches that come back.
+        (:func:`~repro.linkage.blocking.block_positions`) on the views;
+        :func:`link_unknown` then orders the unknown class pairs, spends
+        the allowance through *bridge* and labels the leftovers, exactly
+        as :class:`~repro.linkage.hybrid.HybridLinkage` does. Handles are
+        built only for the matches that come back, and claimed class pairs
+        are reported by id.
 
         ``smc_invocations`` is what this call spent: the bridge's count
         grows by exactly the leased record pairs, or the call raises
         :class:`ProtocolError`. A bridge may be reused across calls.
         """
-        for view in (left_view, right_view):
-            self._check_qids(view)
+        check_rule_covers_qids(self.rule, left_view, right_view)
         telemetry = self.telemetry
-        total_pairs = left_view.record_count * right_view.record_count
         class_pairs = len(left_view.classes) * len(right_view.classes)
         with telemetry.span("blocking", class_pairs=class_pairs):
             verdicts = block_positions(
                 self.rule, left_view, right_view, telemetry=telemetry
             )
-        publish_blocking_metrics(telemetry, verdicts, class_pairs)
-        left_ids = np.array([c.class_id for c in left_view.classes], dtype=np.int64)
-        right_ids = np.array([c.class_id for c in right_view.classes], dtype=np.int64)
-        matched = verdicts.matched
-        outcome = ProtocolOutcome(
-            total_pairs=total_pairs,
-            blocked_match_pairs=verdicts.matched_pairs,
-            blocked_nonmatch_pairs=verdicts.nonmatch_pairs,
-            unknown_pairs=verdicts.unknown_pairs,
-            smc_invocations=0,
-            matched_handles=[],
-            matched_class_pairs=list(
-                zip(
-                    left_ids[matched[:, 0]].tolist(),
-                    right_ids[matched[:, 1]].tolist(),
-                )
-            ),
-        )
-        with telemetry.span(
-            "select", heuristic=self.heuristic.name, pairs=len(verdicts.unknown)
-        ):
-            if type(self.heuristic).order is SelectionHeuristic.order:
-                unknown = self._order(verdicts, left_ids, right_ids)
-            else:
-                unknown = self._order_with_heuristic(
-                    verdicts.unknown, left_view, right_view
-                )
+        publish_blocking_metrics(telemetry, verdicts)
+        total_pairs = left_view.record_count * right_view.record_count
         tables = verdicts.tables
-        left_positions = unknown[:, 0]
-        right_positions = unknown[:, 1]
-        sizes = (
-            tables.left_sizes[left_positions] * tables.right_sizes[right_positions]
-        ).tolist()
-        budget = math.floor(self.allowance * total_pairs)
-        takes, spent = plan_leases(sizes, budget)
-        leased = len(takes)
-        ordered_left = left_ids[left_positions].tolist()
-        ordered_right = right_ids[right_positions].tolist()
-        # Record pairs inside a class pair are indistinguishable from the
-        # anonymized view, so the first `take` of them in row-major order
-        # are compared and the remainder becomes leftovers.
-        leases = [
-            Lease(*lease)
-            for lease in zip(ordered_left[:leased], ordered_right[:leased], takes)
-        ]
-        outcome.leftover_pairs = outcome.unknown_pairs - spent
-        if self.claim_leftovers:
-            outcome.claimed_class_pairs = list(
-                zip(ordered_left[leased:], ordered_right[leased:])
-            )
-        billed_before = bridge.invocations
-        results = bridge.compare_many(leases)
-        if len(results) != len(leases):
-            raise ProtocolError(
-                f"bridge answered {len(results)} of {len(leases)} leases"
-            )
-        handles = outcome.matched_handles
-        right_sizes = tables.right_sizes[right_positions[:leased]].tolist()
+        unknown = verdicts.unknown
+        link = link_unknown(
+            tables,
+            unknown,
+            bridge,
+            self.heuristic,
+            self.strategy,
+            math.floor(self.allowance * total_pairs),
+            telemetry,
+        )
+        handles = []
+        right_sizes = tables.right_sizes[unknown[link.order[: len(link.leases)], 1]]
         for (left_id, right_id, take), right_size, offsets in zip(
-            leases, right_sizes, results
+            link.leases, right_sizes.tolist(), link.offsets
         ):
             # One (class_id, offset) tuple per record the lease reads,
             # shared by its matches: a match then allocates one tuple, not
@@ -422,74 +498,24 @@ class QueryingParty:
                 (left[left_offset], right[right_offset])
                 for left_offset, right_offset in offsets
             ]
-        outcome.smc_invocations = bridge.invocations - billed_before
-        if outcome.smc_invocations != spent:
-            raise ProtocolError(
-                f"the bridge billed {outcome.smc_invocations} invocations "
-                f"for leases of {spent} record pairs"
-            )
-        return outcome
-
-    def _order(
-        self,
-        verdicts: ClassPairVerdicts,
-        left_ids: np.ndarray,
-        right_ids: np.ndarray,
-    ) -> np.ndarray:
-        """The unknown class positions in consumption order.
-
-        The library's key (heuristics.py): by score, ties towards smaller
-        class pairs, then by left and right class id. Ids on the wire are
-        unique but need not be positional, so they stay in the key.
-        """
-        unknown = verdicts.unknown
-        if not len(unknown):
-            return unknown
-        tables = verdicts.tables
-        left_positions = unknown[:, 0]
-        right_positions = unknown[:, 1]
-        self.telemetry.counter("select.pairs_scored").add(len(unknown))
-        scores = self.heuristic.score_array(
-            tables.expected_for_pairs(left_positions, right_positions)
+        return ProtocolOutcome(
+            total_pairs=total_pairs,
+            blocked_match_pairs=verdicts.matched_pairs,
+            blocked_nonmatch_pairs=verdicts.nonmatch_pairs,
+            unknown_pairs=verdicts.unknown_pairs,
+            smc_invocations=link.invocations,
+            matched_handles=handles,
+            matched_class_pairs=_id_pairs(tables, verdicts.matched),
+            leftover_pairs=verdicts.unknown_pairs - link.invocations,
+            claimed_class_pairs=_id_pairs(tables, unknown[link.claimed]),
         )
-        sizes = tables.left_sizes[left_positions] * tables.right_sizes[right_positions]
-        # lexsort keys run least- to most-significant.
-        order = np.lexsort(
-            (
-                right_ids[right_positions],
-                left_ids[left_positions],
-                sizes,
-                scores,
-            )
+
+
+def _id_pairs(tables: CodeTables, positions: np.ndarray) -> list[tuple[int, int]]:
+    """``(left class_id, right class_id)`` of each class-position row."""
+    return list(
+        zip(
+            tables.left_ids[positions[:, 0]].tolist(),
+            tables.right_ids[positions[:, 1]].tolist(),
         )
-        return unknown[order]
-
-    def _order_with_heuristic(
-        self,
-        unknown: np.ndarray,
-        left_view: PublishedView,
-        right_view: PublishedView,
-    ) -> np.ndarray:
-        """Consumption order from a heuristic's own :meth:`order`.
-
-        Such a heuristic (e.g. :class:`RandomSelection`) gets the unknown
-        class pairs in row-major order, exactly as the library hands them
-        over, so a seeded shuffle picks the same class pairs.
-        """
-        pairs = [
-            ClassPair(left_view.classes[left], right_view.classes[right])
-            for left, right in unknown.tolist()
-        ]
-        ordered = self.heuristic.order(
-            pairs, self.rule, left_view, right_view, telemetry=self.telemetry
-        )
-        position = {id(pair): index for index, pair in enumerate(pairs)}
-        return unknown[[position[id(pair)] for pair in ordered]]
-
-    def _check_qids(self, view: PublishedView) -> None:
-        for name in self.rule.names:
-            if name not in view.qids:
-                raise ConfigurationError(
-                    f"rule attribute {name!r} is not in {view.holder!r}'s "
-                    f"published QIDs {view.qids}"
-                )
+    )

@@ -21,13 +21,10 @@ from repro.data.schema import Attribute, Relation, Schema
 from repro.data.strings import PrefixHierarchy
 from repro.data.vgh import CategoricalHierarchy, Interval, IntervalHierarchy
 from repro.errors import ConfigurationError
-from repro.linkage.blocking import ClassPair, block
+from repro.linkage.blocking import ClassPair, block, block_positions
+from repro.linkage.codes import CodeTables
 from repro.linkage.distances import MatchAttribute, MatchRule
-from repro.linkage.heuristics import (
-    HEURISTICS,
-    MinAvgFirst,
-    average_expected_scores,
-)
+from repro.linkage.heuristics import HEURISTICS, MinAvgFirst
 
 from reference import reference_link
 
@@ -75,11 +72,11 @@ def _assert_blocking_matches_reference(rule, left, right, result):
     assert result.total_pairs == len(left.source) * len(right.source)
 
 
-def _assert_orderings_match_reference(rule, left, right, unknown):
+def _assert_orderings_match_reference(rule, left, right, verdicts):
     for heuristic in HEURISTICS.values():
-        ordered = heuristic.order(unknown, rule, left, right)
+        order = heuristic.order(verdicts.unknown, verdicts.tables)
         reference = reference_link(rule, heuristic, left, right, 0.0)
-        assert _positions(ordered, left, right) == [
+        assert [tuple(pair) for pair in verdicts.unknown[order].tolist()] == [
             (left_id, right_id) for _, _, left_id, right_id in reference.ordered_unknown
         ], heuristic.name
 
@@ -135,23 +132,26 @@ class TestBlockingParity:
     @settings(max_examples=15, deadline=None)
     def test_heuristic_orderings_agree(self, case):
         left, right, rule, _ = case
-        unknown = block(rule, left, right).unknown
-        _assert_orderings_match_reference(rule, left, right, unknown)
+        verdicts = block_positions(rule, left, right)
+        _assert_orderings_match_reference(rule, left, right, verdicts)
 
     @given(case=linkage_case())
     @settings(max_examples=15, deadline=None)
     def test_average_scores_agree(self, case):
+        """minAvgFirst's vectorized score, which the learned leftover
+        classifier shares, equals the scalar loop's."""
         left, right, rule, _ = case
-        unknown = block(rule, left, right).unknown
+        verdicts = block_positions(rule, left, right)
+        unknown = verdicts.unknown
         reference = reference_link(rule, MinAvgFirst(), left, right, 0.0)
         by_position = {
             (left_id, right_id): score
             for score, _, left_id, right_id in reference.ordered_unknown
         }
-        scores = average_expected_scores(unknown, rule, left, right)
+        matrix = verdicts.tables.expected_for_pairs(unknown[:, 0], unknown[:, 1])
         # Bit-identical, not approx.
-        assert scores == [
-            by_position[position] for position in _positions(unknown, left, right)
+        assert MinAvgFirst().score_array(matrix).tolist() == [
+            by_position[tuple(position)] for position in unknown.tolist()
         ]
 
     def test_empty_relations(self):
@@ -191,33 +191,39 @@ class TestAdultCorpusParity:
 
     def test_ordering_parity(self, adult_rule, generalized_pair):
         left, right = generalized_pair
-        unknown = block(adult_rule, left, right).unknown
-        assert unknown
-        _assert_orderings_match_reference(adult_rule, left, right, unknown)
+        verdicts = block_positions(adult_rule, left, right)
+        assert len(verdicts.unknown)
+        _assert_orderings_match_reference(adult_rule, left, right, verdicts)
 
 
 class TestForeignClassPairs:
-    """Scoring a class pair outside the given relations is a config error."""
+    """A class pair outside the given relations is a config error."""
 
-    def test_order_rejects_foreign_class(self, toy_rule, toy_generalized):
+    def test_run_from_blocking_rejects_foreign_class(self, toy_rule, toy_generalized):
+        """run_from_blocking cannot order a class it cannot place."""
+        from repro.linkage.hybrid import HybridLinkage, LinkageConfig
+
         r_prime, s_prime = toy_generalized
         foreign = ClassPair(
             EquivalenceClass(r_prime.classes[0].sequence, (999,)),
             s_prime.classes[0],
         )
-        pairs = [ClassPair(r_prime.classes[0], s_prime.classes[0]), foreign]
+        blocking = block(toy_rule, r_prime, s_prime)
+        blocking.unknown = [ClassPair(r_prime.classes[0], s_prime.classes[0]), foreign]
         for heuristic in HEURISTICS.values():
+            linkage = HybridLinkage(LinkageConfig(toy_rule, heuristic=heuristic))
             with pytest.raises(ConfigurationError):
-                heuristic.order(pairs, toy_rule, r_prime, s_prime)
+                linkage.run_from_blocking(blocking, r_prime, s_prime)
 
-    def test_average_scores_reject_foreign_class(self, toy_rule, toy_generalized):
+    def test_pair_positions_reject_foreign_class(self, toy_rule, toy_generalized):
         r_prime, s_prime = toy_generalized
         foreign = ClassPair(
             r_prime.classes[0],
             EquivalenceClass(s_prime.classes[0].sequence, (999,)),
         )
+        tables = CodeTables(toy_rule, r_prime, s_prime)
         with pytest.raises(ConfigurationError):
-            average_expected_scores([foreign], toy_rule, r_prime, s_prime)
+            tables.pair_positions([foreign])
 
 
 class TestEndToEndParity:

@@ -1,10 +1,12 @@
 """Tests for the SMC selection heuristics."""
 
+import random
+
 import pytest
 
 from repro.anonymize import MaxEntropyTDS
 from repro.data.hierarchies import ADULT_QID_ORDER
-from repro.linkage.blocking import block
+from repro.linkage.blocking import block_positions
 from repro.linkage.expected import expected_distance_vector
 from repro.linkage.heuristics import (
     HEURISTICS,
@@ -18,14 +20,16 @@ from repro.linkage.heuristics import (
 QIDS = ADULT_QID_ORDER[:5]
 
 
-def expected_vector(rule, left, right, pair):
-    """The scalar per-attribute expected-distance vector of *pair*."""
+def expected_vector(rule, left, right, position):
+    """The scalar per-attribute expected-distance vector of a class pair."""
+    left_class = left.classes[position[0]]
+    right_class = right.classes[position[1]]
     left_positions = [left.qids.index(name) for name in rule.names]
     right_positions = [right.qids.index(name) for name in rule.names]
     return expected_distance_vector(
         rule.attributes,
-        [pair.left.sequence[p] for p in left_positions],
-        [pair.right.sequence[p] for p in right_positions],
+        [left_class.sequence[p] for p in left_positions],
+        [right_class.sequence[p] for p in right_positions],
     )
 
 
@@ -34,9 +38,9 @@ def setup(adult_pair, adult_hierarchy_catalog, adult_rule):
     anonymizer = MaxEntropyTDS(adult_hierarchy_catalog)
     left = anonymizer.anonymize(adult_pair.left, QIDS, 32)
     right = anonymizer.anonymize(adult_pair.right, QIDS, 32)
-    blocking = block(adult_rule, left, right)
-    assert blocking.unknown, "test setup needs unknown class pairs"
-    return left, right, blocking
+    verdicts = block_positions(adult_rule, left, right)
+    assert len(verdicts.unknown), "test setup needs unknown class pairs"
+    return left, right, verdicts
 
 
 class TestScores:
@@ -52,55 +56,47 @@ class TestScores:
 
 class TestOrdering:
     @pytest.mark.parametrize("name", ["minFirst", "maxLast", "minAvgFirst"])
-    def test_order_is_a_permutation(self, name, setup, adult_rule):
-        left, right, blocking = setup
-        heuristic = heuristic_by_name(name)
-        ordered = heuristic.order(blocking.unknown, adult_rule, left, right)
-        assert len(ordered) == len(blocking.unknown)
-        assert {id(pair) for pair in ordered} == {
-            id(pair) for pair in blocking.unknown
-        }
+    def test_order_is_a_permutation(self, name, setup):
+        _, __, verdicts = setup
+        order = heuristic_by_name(name).order(verdicts.unknown, verdicts.tables)
+        assert sorted(order.tolist()) == list(range(len(verdicts.unknown)))
 
     @pytest.mark.parametrize("name", ["minFirst", "maxLast", "minAvgFirst"])
     def test_scores_non_decreasing(self, name, setup, adult_rule):
-        left, right, blocking = setup
+        left, right, verdicts = setup
         heuristic = heuristic_by_name(name)
-        ordered = heuristic.order(blocking.unknown, adult_rule, left, right)
+        order = heuristic.order(verdicts.unknown, verdicts.tables)
         scores = [
-            heuristic.score(expected_vector(adult_rule, left, right, pair))
-            for pair in ordered
+            heuristic.score(expected_vector(adult_rule, left, right, position))
+            for position in verdicts.unknown[order].tolist()
         ]
         assert scores == sorted(scores)
 
-    def test_ordering_is_deterministic(self, setup, adult_rule):
-        left, right, blocking = setup
-        first = MinAvgFirst().order(blocking.unknown, adult_rule, left, right)
-        second = MinAvgFirst().order(blocking.unknown, adult_rule, left, right)
-        assert [id(p) for p in first] == [id(p) for p in second]
+    def test_ordering_is_deterministic(self, setup):
+        _, __, verdicts = setup
+        first = MinAvgFirst().order(verdicts.unknown, verdicts.tables)
+        second = MinAvgFirst().order(verdicts.unknown, verdicts.tables)
+        assert first.tolist() == second.tolist()
 
-    def test_random_selection_seeded(self, setup, adult_rule):
-        left, right, blocking = setup
-        first = RandomSelection(seed=5).order(
-            blocking.unknown, adult_rule, left, right
-        )
-        second = RandomSelection(seed=5).order(
-            blocking.unknown, adult_rule, left, right
-        )
-        assert [id(p) for p in first] == [id(p) for p in second]
-        other = RandomSelection(seed=6).order(
-            blocking.unknown, adult_rule, left, right
-        )
-        assert [id(p) for p in other] != [id(p) for p in first]
+    def test_random_selection_seeded(self, setup):
+        _, __, verdicts = setup
+        unknown = verdicts.unknown
+        first = RandomSelection(seed=5).order(unknown, verdicts.tables)
+        second = RandomSelection(seed=5).order(unknown, verdicts.tables)
+        assert first.tolist() == second.tolist()
+        other = RandomSelection(seed=6).order(unknown, verdicts.tables)
+        assert other.tolist() != first.tolist()
+        # The same draws as shuffling the row-major class pairs themselves.
+        pairs = [tuple(position) for position in unknown.tolist()]
+        random.Random(5).shuffle(pairs)
+        assert [tuple(position) for position in unknown[first].tolist()] == pairs
 
-    def test_heuristics_differ(self, setup, adult_rule):
+    def test_heuristics_differ(self, setup):
         """On real data the three orderings should not coincide."""
-        left, right, blocking = setup
+        _, __, verdicts = setup
         orders = {
             name: tuple(
-                id(pair)
-                for pair in heuristic.order(
-                    blocking.unknown, adult_rule, left, right
-                )
+                heuristic.order(verdicts.unknown, verdicts.tables).tolist()
             )
             for name, heuristic in HEURISTICS.items()
         }

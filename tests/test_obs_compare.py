@@ -82,6 +82,33 @@ class TestExtraction:
         record = history_record(_e2e_line(), sha="abc", timestamp="t")
         assert set(extract_metrics(record)) == set(extract_metrics(_e2e_line()))
 
+    def test_paired_record_reads_its_change_side_medians(self):
+        def run(link_s, setup_s, peak_rss_mb):
+            return {"link_s": link_s, "setup_s": setup_s, "peak_rss_mb": peak_rss_mb}
+
+        payload = {
+            "benchmark": "e2e-paired",
+            "workload": "lib-full",
+            "outputs_both_sides": {"correct": True, "failed": 0},
+            "pairs": [
+                {"seed": seed, "parent": run(9.0, 9.0, 900.0), "change": change}
+                for seed, change in enumerate(
+                    [run(0.3, 2.0, 80.0), run(0.1, 1.0, 82.0), run(0.2, 3.0, 81.0)]
+                )
+            ],
+        }
+        record = history_record(payload, sha="abc", timestamp="t")
+        metrics = extract_metrics(record)
+        assert {name: metric.value for name, metric in metrics.items()} == {
+            "link_s": 0.2,
+            "setup_s": 2.0,
+            "peak_rss_mb": 81.0,
+        }
+        assert all(metric.gated for metric in metrics.values())
+        payload["outputs_both_sides"]["correct"] = False
+        with pytest.raises(ValueError, match="not correct"):
+            extract_metrics(record)
+
     def test_unknown_document_rejected(self):
         with pytest.raises(ValueError):
             extract_metrics({"something": "else"})

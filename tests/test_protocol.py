@@ -7,7 +7,9 @@ from repro.crypto.smc.oracle import PaillierSMCOracle
 from repro.data.hierarchies import ADULT_QID_ORDER
 from repro.errors import ConfigurationError, ProtocolError
 from repro.linkage.ground_truth import GroundTruth
+from repro.linkage.heuristics import MinAvgFirst
 from repro.linkage.hybrid import HybridLinkage, LinkageConfig
+from repro.linkage.strategies import LearnedClassifier, MaximizeRecall
 from repro.protocol import DataHolder, Lease, QueryingParty, SMCBridge
 
 QIDS = ADULT_QID_ORDER[:5]
@@ -196,7 +198,7 @@ class TestQueryingParty:
         alice, bob, left_view, right_view = parties
         bridge = SMCBridge(alice, bob, adult_rule)
         party = QueryingParty(
-            adult_rule, allowance=0.0, claim_leftovers=True
+            adult_rule, allowance=0.0, strategy=MaximizeRecall()
         )
         outcome = party.link(left_view, right_view, bridge)
         assert outcome.claimed_class_pairs
@@ -215,6 +217,15 @@ class TestQueryingParty:
     def test_bad_allowance(self, adult_rule):
         with pytest.raises(ConfigurationError):
             QueryingParty(adult_rule, allowance=2.0)
+
+    def test_learned_classifier_requires_random_selection(self, adult_rule):
+        """The querying party refuses what LinkageConfig refuses."""
+        settings = {"strategy": LearnedClassifier(), "heuristic": MinAvgFirst()}
+        with pytest.raises(ConfigurationError) as library:
+            LinkageConfig(adult_rule, **settings)
+        with pytest.raises(ConfigurationError) as protocol:
+            QueryingParty(adult_rule, **settings)
+        assert str(protocol.value) == str(library.value)
 
     def test_with_real_paillier_backend(self, adult_pair, adult_hierarchy_catalog, adult_rule):
         """A tiny end-to-end run over the real crypto stack."""

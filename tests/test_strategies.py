@@ -1,19 +1,21 @@
 """Tests for the leftover labeling strategies (Section V-B)."""
 
+import numpy as np
 import pytest
 
 from repro.anonymize import MaxEntropyTDS
 from repro.data.hierarchies import ADULT_QID_ORDER
-from repro.linkage.blocking import block
+from repro.linkage.blocking import block_positions
 from repro.linkage.strategies import (
     LearnedClassifier,
     MaximizePrecision,
     MaximizeRecall,
-    SMCObservation,
+    SMCSample,
     strategy_by_name,
 )
 
 QIDS = ADULT_QID_ORDER[:5]
+NO_SAMPLE = SMCSample(np.empty((0, 2), dtype=np.intp), np.empty(0), np.empty(0))
 
 
 @pytest.fixture(scope="module")
@@ -21,26 +23,25 @@ def setup(adult_pair, adult_hierarchy_catalog, adult_rule):
     anonymizer = MaxEntropyTDS(adult_hierarchy_catalog)
     left = anonymizer.anonymize(adult_pair.left, QIDS, 32)
     right = anonymizer.anonymize(adult_pair.right, QIDS, 32)
-    blocking = block(adult_rule, left, right)
-    return left, right, blocking
+    return left, right, block_positions(adult_rule, left, right)
 
 
 class TestMaximizePrecision:
-    def test_claims_nothing(self, setup, adult_rule):
-        left, right, blocking = setup
+    def test_claims_nothing(self, setup):
+        _, __, verdicts = setup
         claimed = MaximizePrecision().claim_matches(
-            blocking.unknown, [], adult_rule, left, right
+            verdicts.unknown, NO_SAMPLE, verdicts.tables
         )
-        assert claimed == []
+        assert claimed.tolist() == []
 
 
 class TestMaximizeRecall:
-    def test_claims_everything(self, setup, adult_rule):
-        left, right, blocking = setup
+    def test_claims_everything(self, setup):
+        _, __, verdicts = setup
         claimed = MaximizeRecall().claim_matches(
-            blocking.unknown, [], adult_rule, left, right
+            verdicts.unknown, NO_SAMPLE, verdicts.tables
         )
-        assert claimed == list(blocking.unknown)
+        assert claimed.tolist() == list(range(len(verdicts.unknown)))
 
 
 class TestLearnedClassifier:
@@ -48,23 +49,28 @@ class TestLearnedClassifier:
         assert LearnedClassifier().requires_random_selection
         assert not MaximizePrecision().requires_random_selection
 
-    def test_no_observations_claims_nothing(self, setup, adult_rule):
-        left, right, blocking = setup
+    def test_no_observations_claims_nothing(self, setup):
+        _, __, verdicts = setup
         claimed = LearnedClassifier().claim_matches(
-            blocking.unknown, [], adult_rule, left, right
+            verdicts.unknown, NO_SAMPLE, verdicts.tables
         )
-        assert claimed == []
+        assert claimed.tolist() == []
 
-    def test_all_negative_observations_claim_nothing(self, setup, adult_rule):
-        left, right, blocking = setup
-        observations = [
-            SMCObservation(pair, min(pair.size, 10), 0)
-            for pair in blocking.unknown[:5]
-        ]
-        claimed = LearnedClassifier().claim_matches(
-            blocking.unknown[5:], observations, adult_rule, left, right
+    def test_all_negative_observations_claim_nothing(self, setup):
+        _, __, verdicts = setup
+        unknown = verdicts.unknown
+        observed = unknown[:5]
+        sizes = (
+            verdicts.tables.left_sizes[observed[:, 0]]
+            * verdicts.tables.right_sizes[observed[:, 1]]
         )
-        assert claimed == []
+        observations = SMCSample(
+            observed, np.minimum(sizes, 10), np.zeros(len(observed), dtype=int)
+        )
+        claimed = LearnedClassifier().claim_matches(
+            unknown[5:], observations, verdicts.tables
+        )
+        assert claimed.tolist() == []
 
     def test_learns_a_threshold_from_separable_observations(
         self, setup, adult_rule
@@ -72,38 +78,41 @@ class TestLearnedClassifier:
         """Low-score pairs observed matching, high-score pairs not."""
         from repro.linkage.expected import expected_distance_vector
 
-        left, right, blocking = setup
+        left, right, verdicts = setup
         left_positions = [left.qids.index(name) for name in adult_rule.names]
         right_positions = [right.qids.index(name) for name in adult_rule.names]
 
-        def score(pair):
+        def score(position):
+            left_class = left.classes[position[0]]
+            right_class = right.classes[position[1]]
             vector = expected_distance_vector(
                 adult_rule.attributes,
-                [pair.left.sequence[p] for p in left_positions],
-                [pair.right.sequence[p] for p in right_positions],
+                [left_class.sequence[p] for p in left_positions],
+                [right_class.sequence[p] for p in right_positions],
             )
             return sum(vector) / len(adult_rule)
 
-        scored = sorted(blocking.unknown, key=score)
+        scored = np.array(sorted(verdicts.unknown.tolist(), key=score))
         assert len(scored) >= 8
         low = scored[:2]
         high = scored[-2:]
-        observations = [
-            SMCObservation(pair, 10, 9) for pair in low
-        ] + [
-            SMCObservation(pair, 10, 0) for pair in high
-        ]
+        observations = SMCSample(
+            np.concatenate([low, high]),
+            np.full(4, 10),
+            np.array([9, 9, 0, 0]),
+        )
         leftovers = scored[2:-2]
-        claimed = LearnedClassifier().claim_matches(
-            leftovers, observations, adult_rule, left, right
+        claimed = set(
+            LearnedClassifier()
+            .claim_matches(leftovers, observations, verdicts.tables)
+            .tolist()
         )
         # Everything claimed must score at or below everything not claimed.
-        claimed_ids = {id(pair) for pair in claimed}
         claimed_scores = [
-            score(pair) for pair in leftovers if id(pair) in claimed_ids
+            score(pair) for row, pair in enumerate(leftovers) if row in claimed
         ]
         rejected_scores = [
-            score(pair) for pair in leftovers if id(pair) not in claimed_ids
+            score(pair) for row, pair in enumerate(leftovers) if row not in claimed
         ]
         if claimed_scores and rejected_scores:
             assert max(claimed_scores) <= min(rejected_scores) + 1e-12
