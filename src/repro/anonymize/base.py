@@ -115,18 +115,15 @@ class GeneralizedRelation:
         classes: Sequence[EquivalenceClass],
         *,
         k: int,
-        suppressed: tuple[int, ...] = (),
     ):
         self.source = source
         self.qids = tuple(qids)
         self.hierarchies = dict(hierarchies)
         self.classes = tuple(classes)
         self.k = k
-        self.suppressed = suppressed
         covered = Counter()
         for eq_class in self.classes:
             covered.update(eq_class.indices)
-        covered.update(suppressed)
         if sorted(covered) != list(range(len(source))):
             raise AnonymizationError(
                 "equivalence classes do not exactly cover the source relation"
@@ -153,41 +150,6 @@ class GeneralizedRelation:
         """Check the anonymity requirement (default: the requested k)."""
         requirement = self.k if k is None else k
         return all(eq_class.size >= requirement for eq_class in self.classes)
-
-    def sequence_for(self, index: int) -> Sequence_:
-        """The generalization sequence covering source record *index*."""
-        for eq_class in self.classes:
-            if index in eq_class.indices:
-                return eq_class.sequence
-        raise AnonymizationError(f"record {index} is suppressed or unknown")
-
-    def public_view(self) -> list[tuple[Sequence_, int]]:
-        """The shareable artifact: ``(sequence, class size)`` pairs."""
-        return [(eq_class.sequence, eq_class.size) for eq_class in self.classes]
-
-    def project_sequences(self, names: Sequence[str]) -> "GeneralizedRelation":
-        """Restrict every sequence to the QIDs in *names* and re-group.
-
-        Used by the top-q QID sweeps: dropping QIDs can merge classes, so
-        records are regrouped by the projected sequences.
-        """
-        positions = [self.qids.index(name) for name in names]
-        grouped: dict[Sequence_, list[int]] = {}
-        for eq_class in self.classes:
-            projected = tuple(eq_class.sequence[position] for position in positions)
-            grouped.setdefault(projected, []).extend(eq_class.indices)
-        classes = [
-            EquivalenceClass(sequence, tuple(sorted(indices)))
-            for sequence, indices in grouped.items()
-        ]
-        return GeneralizedRelation(
-            self.source,
-            names,
-            {name: self.hierarchies[name] for name in names},
-            classes,
-            k=self.k,
-            suppressed=self.suppressed,
-        )
 
     def __repr__(self) -> str:
         return (

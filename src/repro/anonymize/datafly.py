@@ -15,8 +15,8 @@ of them) are generalized to the all-roots sequence rather than deleted.
 Deleting records would silently change |D1 x D2| and every percentage in
 the evaluation; the all-roots sequence is the most general statement
 possible about a record, so publishing it reveals nothing an empty release
-would not. The suppressed class is tracked separately so metrics can report
-it.
+would not. These records join the all-roots equivalence class like any
+other, so every record belongs to exactly one published class.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ their own right:
 
 - :func:`distinct_sequences` — Figure 2's measure;
 - :func:`verify_k_anonymity` — hard check with a detailed error;
-- :func:`average_class_size` / :func:`discernibility` — the classic cost
-  metric (sum of squared class sizes; lower is better);
+- :func:`discernibility` — the classic cost metric (sum of squared class
+  sizes; lower is better);
 - :func:`generalization_precision` — Sweeney-style precision: 1 minus the
   mean normalized generalization height (1.0 = original data);
 - :func:`sequence_entropy` — entropy of the class-size distribution, the
@@ -38,14 +38,6 @@ def verify_k_anonymity(generalized: GeneralizedRelation, k: int) -> None:
             raise AnonymizationError(
                 f"class {eq_class.describe()} has {eq_class.size} < {k} records"
             )
-
-
-def average_class_size(generalized: GeneralizedRelation) -> float:
-    """Mean equivalence class size."""
-    if not generalized.classes:
-        return 0.0
-    total = sum(eq_class.size for eq_class in generalized.classes)
-    return total / len(generalized.classes)
 
 
 def discernibility(generalized: GeneralizedRelation) -> int:

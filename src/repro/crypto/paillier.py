@@ -139,11 +139,6 @@ class PaillierPublicKey:
         return self.n * self.n
 
     @property
-    def max_plaintext(self) -> int:
-        """Largest raw plaintext: ``n - 1``."""
-        return self.n - 1
-
-    @property
     def bits(self) -> int:
         """Modulus size in bits."""
         return self.n.bit_length()

@@ -263,10 +263,6 @@ class CategoricalHierarchy:
             node = self._parent[node]  # type: ignore[assignment] -- depth>0 ⇒ parent exists
         return node
 
-    def ancestor_at_or_above(self, node: str, other: str) -> bool:
-        """True when *node* is *other* or one of its ancestors."""
-        return other in self.leaf_set(node) or node in self.path_to_root(other)
-
     def _require(self, node: str) -> None:
         if node not in self._parent:
             raise HierarchyError(

@@ -87,15 +87,16 @@ def pure_sanitization_linkage(
     claimed_true = 0
     left_positions = [left.qids.index(name) for name in rule.names]
     right_positions = [right.qids.index(name) for name in rule.names]
-    for pair in blocking.unknown:
+    for i, j in blocking.unknown.tolist():
+        left_class, right_class = left.classes[i], right.classes[j]
         guessed_match = _representatives_match(
-            rule, pair, left_positions, right_positions
+            rule, left_class, right_class, left_positions, right_positions
         )
         if not guessed_match:
             continue
-        claimed_pairs += pair.size
+        claimed_pairs += left_class.size * right_class.size
         claimed_true += ground_truth.count_matches(
-            pair.left.indices, pair.right.indices
+            left_class.indices, right_class.indices
         )
     evaluation = Evaluation(
         true_matches=ground_truth.total_matches(),
@@ -111,14 +112,14 @@ def pure_sanitization_linkage(
 
 
 def _representatives_match(
-    rule: MatchRule, pair, left_positions, right_positions
+    rule: MatchRule, left_class, right_class, left_positions, right_positions
 ) -> bool:
     """Compare class representatives attribute by attribute."""
     for attribute, left_position, right_position in zip(
         rule, left_positions, right_positions
     ):
-        left_value = pair.left.sequence[left_position]
-        right_value = pair.right.sequence[right_position]
+        left_value = left_class.sequence[left_position]
+        right_value = right_class.sequence[right_position]
         if attribute.is_continuous:
             left_mid = as_interval(left_value).midpoint
             right_mid = as_interval(right_value).midpoint

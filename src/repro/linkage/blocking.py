@@ -16,17 +16,17 @@ Two implementation notes:
   cross product with fancy indexing + boolean reductions (see
   :mod:`repro.linkage.codes` and DESIGN.md);
 - non-match class pairs are only counted (there can be hundreds of
-  thousands); match and unknown class pairs are kept, since the SMC step
-  and the result reporting need them.
+  thousands); match and unknown class pairs are kept as ``(left, right)``
+  class positions, since the SMC step and the result reporting need them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.anonymize.base import EquivalenceClass, GeneralizedRelation
+from repro.anonymize.base import GeneralizedRelation
 from repro.errors import ConfigurationError
 from repro.linkage.codes import CodeTables
 from repro.linkage.distances import MatchRule
@@ -38,49 +38,44 @@ from repro.obs import NOOP_TELEMETRY, Telemetry
 DEFAULT_CHUNK_CELLS = 1 << 22
 
 
-@dataclass(frozen=True)
-class ClassPair:
-    """A pair of equivalence classes, one from each side."""
-
-    left: EquivalenceClass
-    right: EquivalenceClass
-
-    @property
-    def size(self) -> int:
-        """Number of record pairs this class pair covers."""
-        return self.left.size * self.right.size
-
-    def describe(self) -> str:
-        """Human-readable rendering for reports and examples."""
-        return f"{self.left.describe()} x {self.right.describe()}"
-
-
 @dataclass
 class BlockingResult:
-    """Outcome of the blocking step.
+    """Outcome of the blocking step, by class position.
 
-    ``matched`` and ``unknown`` hold class pairs; ``nonmatch_pairs`` is a
-    record-pair count. ``blocking_efficiency`` is the paper's metric: the
-    fraction of record pairs permanently decided (M or N) by the slack
-    rule.
+    ``matched`` and ``unknown`` are ``(n, 2)`` intp arrays of ``(left
+    index, right index)`` class positions into ``tables.left.classes`` /
+    ``tables.right.classes``, in row-major order; ``nonmatch_pairs`` is a
+    record-pair count. ``tables`` are the code tables the verdicts came
+    from (and ``tables.rule`` the rule that decided them), so later steps
+    score the unknown pairs without encoding the classes again.
+    ``blocking_efficiency`` is the paper's metric: the fraction of record
+    pairs permanently decided (M or N) by the slack rule.
     """
 
-    rule: MatchRule
+    tables: CodeTables
+    matched: np.ndarray
+    unknown: np.ndarray
+    nonmatch_pairs: int
     total_pairs: int
-    matched: list[ClassPair] = field(default_factory=list)
-    unknown: list[ClassPair] = field(default_factory=list)
-    nonmatch_pairs: int = 0
     elapsed_seconds: float = 0.0
+
+    def record_pairs(self, positions: np.ndarray) -> int:
+        """Record pairs covered by the ``(n, 2)`` class *positions*."""
+        sizes = (
+            self.tables.left_sizes[positions[:, 0]]
+            * self.tables.right_sizes[positions[:, 1]]
+        )
+        return int(sizes.sum())
 
     @property
     def matched_pairs(self) -> int:
         """Record pairs certainly matched by blocking (all true matches)."""
-        return sum(pair.size for pair in self.matched)
+        return self.record_pairs(self.matched)
 
     @property
     def unknown_pairs(self) -> int:
         """Record pairs left undecided, i.e. the SMC step's workload."""
-        return sum(pair.size for pair in self.unknown)
+        return self.record_pairs(self.unknown)
 
     @property
     def decided_pairs(self) -> int:
@@ -124,25 +119,21 @@ def check_rule_covers_qids(
 
 
 def publish_blocking_metrics(
-    telemetry: Telemetry, verdicts: ClassPairVerdicts
+    telemetry: Telemetry, result: BlockingResult
 ) -> None:
-    """Mirror one set of blocking verdicts into the metrics registry.
-
-    Shared by the library and the querying party, so both entry points
-    publish the same ``blocking.*`` counters.
-    """
+    """Mirror one blocking result into the metrics registry."""
     if not telemetry.enabled:
         return
-    tables = verdicts.tables
+    tables = result.tables
     class_pairs = len(tables.left_sizes) * len(tables.right_sizes)
     telemetry.counter("blocking.class_pairs").add(class_pairs)
-    telemetry.counter("blocking.matched_class_pairs").add(len(verdicts.matched))
-    telemetry.counter("blocking.unknown_class_pairs").add(len(verdicts.unknown))
-    telemetry.counter("blocking.matched_record_pairs").add(verdicts.matched_pairs)
+    telemetry.counter("blocking.matched_class_pairs").add(len(result.matched))
+    telemetry.counter("blocking.unknown_class_pairs").add(len(result.unknown))
+    telemetry.counter("blocking.matched_record_pairs").add(result.matched_pairs)
     telemetry.counter("blocking.nonmatch_record_pairs").add(
-        verdicts.nonmatch_pairs
+        result.nonmatch_pairs
     )
-    telemetry.counter("blocking.unknown_record_pairs").add(verdicts.unknown_pairs)
+    telemetry.counter("blocking.unknown_record_pairs").add(result.unknown_pairs)
 
 
 def block(
@@ -153,11 +144,13 @@ def block(
     chunk_cells: int = DEFAULT_CHUNK_CELLS,
     telemetry: Telemetry = NOOP_TELEMETRY,
 ) -> BlockingResult:
-    """Run the blocking step over two anonymized relations.
+    """Run the blocking step over two anonymized relations or views.
 
-    The kernel (:func:`block_positions`) decides every class pair;
-    ``matched`` and ``unknown`` list the class pairs in row-major order.
-    *chunk_cells* bounds the kernel's peak intermediate size.
+    *left* and *right* are anything with ``.qids`` and ``.classes`` whose
+    classes carry ``.sequence`` and ``.size``: the library's anonymized
+    relations or the querying party's published views
+    (:mod:`repro.protocol`). The kernel decides every class pair;
+    *chunk_cells* bounds its peak intermediate size.
 
     *telemetry* records the blocking phase as a span (whose duration
     becomes ``elapsed_seconds``) with a nested kernel span, plus the
@@ -165,82 +158,31 @@ def block(
     """
     check_rule_covers_qids(rule, left, right)
     class_pairs = len(left.classes) * len(right.classes)
-    result = BlockingResult(
-        rule=rule, total_pairs=len(left.source) * len(right.source)
-    )
     with telemetry.span("blocking", class_pairs=class_pairs) as span:
         with telemetry.span("blocking.kernel.numpy"):
-            verdicts = block_positions(
-                rule, left, right, chunk_cells=chunk_cells, telemetry=telemetry
+            tables = CodeTables(rule, left, right)
+            matched, unknown, nonmatch_pairs = _decide(
+                tables, chunk_cells, telemetry
             )
-            left_array = np.empty(len(left.classes), dtype=object)
-            left_array[:] = left.classes
-            right_array = np.empty(len(right.classes), dtype=object)
-            right_array[:] = right.classes
-            for pairs, positions in (
-                (result.matched, verdicts.matched),
-                (result.unknown, verdicts.unknown),
-            ):
-                pairs.extend(
-                    map(
-                        ClassPair,
-                        left_array[positions[:, 0]],
-                        right_array[positions[:, 1]],
-                    )
-                )
-            result.nonmatch_pairs = verdicts.nonmatch_pairs
-    result.elapsed_seconds = span.duration
-    publish_blocking_metrics(telemetry, verdicts)
+    result = BlockingResult(
+        tables,
+        matched,
+        unknown,
+        nonmatch_pairs,
+        total_pairs=int(tables.left_sizes.sum()) * int(tables.right_sizes.sum()),
+        elapsed_seconds=span.duration,
+    )
+    publish_blocking_metrics(telemetry, result)
     return result
 
 
-@dataclass
-class ClassPairVerdicts:
-    """Positional blocking verdicts from :func:`block_positions`.
+def _decide(
+    tables: CodeTables, chunk_cells: int, telemetry: Telemetry
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The blocking kernel: verdict matrices + chunked reductions.
 
-    ``matched`` and ``unknown`` are ``(n, 2)`` arrays of ``(left index,
-    right index)`` class positions in row-major order; ``nonmatch_pairs``
-    is a record-pair count. ``tables`` are the code tables the verdicts
-    came from, so a caller can score the unknown pairs without encoding
-    the classes again.
-    """
-
-    tables: CodeTables
-    matched: np.ndarray
-    unknown: np.ndarray
-    nonmatch_pairs: int
-
-    def _record_pairs(self, positions: np.ndarray) -> int:
-        sizes = (
-            self.tables.left_sizes[positions[:, 0]]
-            * self.tables.right_sizes[positions[:, 1]]
-        )
-        return int(sizes.sum())
-
-    @property
-    def matched_pairs(self) -> int:
-        """Record pairs certainly matched by blocking."""
-        return self._record_pairs(self.matched)
-
-    @property
-    def unknown_pairs(self) -> int:
-        """Record pairs left undecided."""
-        return self._record_pairs(self.unknown)
-
-
-def block_positions(
-    rule: MatchRule,
-    left,
-    right,
-    *,
-    chunk_cells: int = DEFAULT_CHUNK_CELLS,
-    telemetry: Telemetry = NOOP_TELEMETRY,
-) -> ClassPairVerdicts:
-    """The blocking kernel: codes + verdict matrices + chunked reductions.
-
-    *left* and *right* are anything with ``.qids`` and ``.classes`` whose
-    classes carry ``.sequence`` and ``.size``: anonymized relations here,
-    published views in :mod:`repro.protocol`.
+    Returns the matched and unknown class positions (row-major) and the
+    non-match record-pair count.
 
     Per attribute the verdict matrix is split into two boolean tables
     (``verdict == 1`` and ``verdict == 2``) and, when the result fits the
@@ -255,12 +197,11 @@ def block_positions(
     materializing pairs; matched/unknown class pairs come out of
     ``np.argwhere`` in row-major order.
     """
-    tables = CodeTables(rule, left, right)
-    left_count = len(left.classes)
-    right_count = len(right.classes)
+    left_count = len(tables.left_sizes)
+    right_count = len(tables.right_sizes)
     empty = np.empty((0, 2), dtype=np.intp)
     if not left_count or not right_count:
-        return ClassPairVerdicts(tables, empty, empty, 0)
+        return empty, empty, 0
     left_codes = tables.left_codes
     left_sizes = tables.left_sizes
     right_sizes = tables.right_sizes
@@ -317,9 +258,4 @@ def block_positions(
         telemetry.emit_progress("blocking", chunks, total_chunks, unit="chunks")
     telemetry.counter("blocking.kernel_chunks").add(chunks)
     telemetry.histogram("blocking.chunk_rows").observe(rows_per_chunk)
-    return ClassPairVerdicts(
-        tables,
-        np.concatenate(matched),
-        np.concatenate(unknown),
-        nonmatch_total,
-    )
+    return np.concatenate(matched), np.concatenate(unknown), nonmatch_total

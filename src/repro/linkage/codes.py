@@ -30,7 +30,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.anonymize.base import EquivalenceClass, GeneralizedRelation
-from repro.errors import ConfigurationError
 from repro.linkage.distances import MatchRule
 from repro.linkage.expected import pairwise_expected_distances
 from repro.linkage.slack import as_interval, attribute_slack
@@ -161,8 +160,6 @@ class CodeTables:
         self.right_ids = _class_ids(right.classes)
         self._verdicts: list[np.ndarray | None] = [None] * len(rule)
         self._expected: list[np.ndarray | None] = [None] * len(rule)
-        self._left_index: dict[EquivalenceClass, int] | None = None
-        self._right_index: dict[EquivalenceClass, int] | None = None
 
     def verdict_matrix(self, attr_position: int) -> np.ndarray:
         """``V_a[left_code, right_code] in {0, 1, 2}`` for one attribute.
@@ -210,35 +207,6 @@ class CodeTables:
             )
             self._expected[attr_position] = matrix
         return matrix
-
-    def pair_positions(self, pairs) -> tuple[np.ndarray, np.ndarray]:
-        """Class indices ``(left_idx, right_idx)`` for a ClassPair sequence.
-
-        Raises :class:`ConfigurationError` when some pair references a
-        class that is not part of the relations these tables were built
-        from.
-        """
-        if self._left_index is None:
-            self._left_index = {
-                eq_class: index for index, eq_class in enumerate(self.left.classes)
-            }
-            self._right_index = {
-                eq_class: index
-                for index, eq_class in enumerate(self.right.classes)
-            }
-        left_idx = np.empty(len(pairs), dtype=np.intp)
-        right_idx = np.empty(len(pairs), dtype=np.intp)
-        for position, pair in enumerate(pairs):
-            left_position = self._left_index.get(pair.left)
-            right_position = self._right_index.get(pair.right)
-            if left_position is None or right_position is None:
-                raise ConfigurationError(
-                    f"class pair {pair.describe()} names a class outside "
-                    "the given relations"
-                )
-            left_idx[position] = left_position
-            right_idx[position] = right_position
-        return left_idx, right_idx
 
     def expected_for_pairs(
         self, left_idx: np.ndarray, right_idx: np.ndarray

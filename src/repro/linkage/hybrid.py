@@ -35,13 +35,13 @@ from repro.anonymize.base import GeneralizedRelation
 from repro.crypto.smc.oracle import CountingPlaintextOracle, SMCOracle
 from repro.data.schema import Schema
 from repro.errors import ConfigurationError, PipelineError, ProtocolError
-from repro.linkage.blocking import BlockingResult, ClassPair, block
-from repro.linkage.codes import CodeTables
+from repro.linkage.blocking import BlockingResult, block
 from repro.linkage.distances import MatchRule
 from repro.linkage.heuristics import MinAvgFirst, SelectionHeuristic
 from repro.linkage.strategies import (
     LeftoverStrategy,
     MaximizePrecision,
+    SMCSample,
     check_selection,
 )
 from repro.obs import NOOP_TELEMETRY, Telemetry
@@ -52,7 +52,6 @@ __all__ = [
     "LinkageConfig",
     "LinkageResult",
     "OracleFactory",
-    "SMCObservation",
 ]
 
 OracleFactory = Callable[[MatchRule, Schema], SMCOracle]
@@ -95,43 +94,30 @@ class LinkageConfig:
         check_selection(self.allowance, self.heuristic, self.strategy)
 
 
-@dataclass(frozen=True)
-class SMCObservation:
-    """What the SMC step learned about one class pair.
-
-    ``compared`` record pairs were run through the protocol (possibly fewer
-    than ``pair.size`` when the allowance ran out mid-pair) and ``matches``
-    of them matched.
-    """
-
-    pair: ClassPair
-    compared: int
-    matches: int
-
-
 @dataclass
 class LinkageResult:
-    """Outcome of one hybrid linkage run."""
+    """Outcome of one hybrid linkage run.
+
+    Class pairs are ``(left, right)`` class positions into
+    ``blocking.tables.left.classes`` / ``blocking.tables.right.classes``.
+    ``sample`` lists the leased class pairs in consumption order with the
+    record pairs compared and matched in each (the last one may be only
+    partially compared). ``leftovers`` holds the class pairs the
+    allowance did not finish — the partially leased one first, if any —
+    and ``claimed`` those of them the strategy labels match, in leftover
+    order; both are ``(n, 2)`` arrays.
+    """
 
     total_pairs: int
     blocking: BlockingResult
     allowance_pairs: int
     smc_invocations: int
     smc_matched_pairs: list[tuple[int, int]]
-    observations: list[SMCObservation]
-    leftovers: list[ClassPair]
-    claimed: list[ClassPair]
+    sample: SMCSample
+    leftovers: np.ndarray
+    claimed: np.ndarray
     attribute_comparisons: int = 0
     elapsed_seconds: float = 0.0
-    _observations_by_id: dict[int, SMCObservation] = field(
-        init=False, repr=False, default_factory=dict
-    )
-
-    def __post_init__(self) -> None:
-        self._observations_by_id = {
-            id(observation.pair): observation
-            for observation in self.observations
-        }
 
     @property
     def blocked_match_pairs(self) -> int:
@@ -148,28 +134,36 @@ class LinkageResult:
         """All matches known to be true: blocking-M plus SMC hits."""
         return self.blocked_match_pairs + self.smc_match_count
 
-    def _observation_index(self) -> dict[int, SMCObservation]:
-        return self._observations_by_id
-
-    def compared_in(self, pair: ClassPair) -> int:
-        """Record pairs of *pair* the SMC step actually compared."""
-        observation = self._observation_index().get(id(pair))
-        return observation.compared if observation else 0
-
-    def observed_matches_in(self, pair: ClassPair) -> int:
-        """Matches the SMC step found inside *pair*."""
-        observation = self._observation_index().get(id(pair))
-        return observation.matches if observation else 0
-
     @property
     def leftover_pairs(self) -> int:
         """Record pairs never compared nor decided by blocking."""
-        return sum(pair.size - self.compared_in(pair) for pair in self.leftovers)
+        return self.blocking.unknown_pairs - self.smc_invocations
+
+    def claimed_partial(self) -> tuple[int, int]:
+        """``(compared, matches)`` of the partially leased class pair.
+
+        ``(0, 0)`` unless the allowance ran out inside a class pair and the
+        strategy claims that pair, whose compared prefix is then verified
+        rather than claimed. A fully compared class pair is never a
+        leftover, so a claimed pair equal to the last leased one is the
+        partial one.
+        """
+        sample = self.sample
+        if (
+            len(sample.pairs)
+            and len(self.claimed)
+            and (self.claimed[0] == sample.pairs[-1]).all()
+        ):
+            return int(sample.compared[-1]), int(sample.matches[-1])
+        return 0, 0
 
     @property
     def claimed_pairs(self) -> int:
         """Unverified record pairs the strategy claims as matches."""
-        return sum(pair.size - self.compared_in(pair) for pair in self.claimed)
+        return (
+            self.blocking.record_pairs(self.claimed)
+            - self.claimed_partial()[0]
+        )
 
     @property
     def reported_match_pairs(self) -> int:
@@ -178,9 +172,13 @@ class LinkageResult:
 
     def iter_verified_matches(self) -> Iterator[tuple[int, int]]:
         """Yield verified matching (left_index, right_index) pairs."""
-        for pair in self.blocking.matched:
-            for left_index in pair.left.indices:
-                for right_index in pair.right.indices:
+        tables = self.blocking.tables
+        left_classes = tables.left.classes
+        right_classes = tables.right.classes
+        for left, right in self.blocking.matched.tolist():
+            right_indices = right_classes[right].indices
+            for left_index in left_classes[left].indices:
+                for right_index in right_indices:
                     yield left_index, right_index
         yield from self.smc_matched_pairs
 
@@ -241,7 +239,11 @@ class HybridLinkage:
 
         Parameter sweeps reuse one blocking result across heuristics and
         allowances (blocking does not depend on either), which is also how
-        the paper structures its experiments.
+        the paper structures its experiments; its code tables, and so
+        their expected-distance matrices, are shared by every such run.
+        *blocking* must come from :func:`~repro.linkage.blocking.block` on
+        *left* and *right* under a rule with the configured rule's
+        attributes, or :class:`ConfigurationError` is raised.
 
         Both relations are adopted by in-process
         :class:`~repro.protocol.DataHolder` objects, and the querying party's
@@ -252,6 +254,16 @@ class HybridLinkage:
         """
         config = self.config
         telemetry = config.telemetry
+        tables = blocking.tables
+        if tables.left is not left or tables.right is not right:
+            raise ConfigurationError(
+                "the blocking result was computed for other relations"
+            )
+        if tables.rule.attributes != config.rule.attributes:
+            raise ConfigurationError(
+                f"the blocking result was computed under {tables.rule!r}, "
+                f"not the configured {config.rule!r}"
+            )
         allowance_pairs = math.floor(config.allowance * blocking.total_pairs)
         with telemetry.span(
             "linkage.link",
@@ -259,8 +271,6 @@ class HybridLinkage:
             strategy=config.strategy.name,
             allowance_pairs=allowance_pairs,
         ) as link_span:
-            tables = CodeTables(config.rule, left, right)
-            unknown = np.column_stack(tables.pair_positions(blocking.unknown))
             bridge = SMCBridge(
                 DataHolder.adopt("left", left),
                 DataHolder.adopt("right", right),
@@ -273,7 +283,7 @@ class HybridLinkage:
             try:
                 link = link_unknown(
                     tables,
-                    unknown,
+                    blocking.unknown,
                     bridge,
                     config.heuristic,
                     config.strategy,
@@ -284,29 +294,29 @@ class HybridLinkage:
                 raise PipelineError(str(error)) from error
             if telemetry.enabled:
                 oracle.publish_metrics()
-        ordered = [blocking.unknown[row] for row in link.order.tolist()]
-        observations = []
         smc_matched = []
-        for pair, lease, offsets in zip(ordered, link.leases, link.offsets):
-            left_indices = pair.left.indices
-            right_indices = pair.right.indices
+        for (left_class, right_class), offsets in zip(
+            link.sample.pairs.tolist(), link.offsets
+        ):
+            left_indices = left.classes[left_class].indices
+            right_indices = right.classes[right_class].indices
             smc_matched.extend(
                 (left_indices[left_offset], right_indices[right_offset])
                 for left_offset, right_offset in offsets
             )
-            observations.append(SMCObservation(pair, lease.take, len(offsets)))
             # Free each lease's offsets once mapped: they and the record
             # pairs built from them are then never all alive at once.
             offsets.clear()
+        unknown = blocking.unknown
         return LinkageResult(
             total_pairs=blocking.total_pairs,
             blocking=blocking,
             allowance_pairs=allowance_pairs,
             smc_invocations=link.invocations,
             smc_matched_pairs=smc_matched,
-            observations=observations,
-            leftovers=ordered[link.leftover_start :],
-            claimed=[blocking.unknown[row] for row in link.claimed.tolist()],
+            sample=link.sample,
+            leftovers=unknown[link.order[link.leftover_start :]],
+            claimed=unknown[link.claimed],
             attribute_comparisons=oracle.attribute_comparisons,
             elapsed_seconds=link_span.duration,
         )

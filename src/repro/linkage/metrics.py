@@ -88,19 +88,18 @@ def evaluate(
     leftover class pairs need ground-truth counting.
     """
     ground_truth = GroundTruth(rule, left, right)
-    claimed_pairs = 0
-    claimed_true = 0
-    for pair in result.claimed:
-        compared = result.compared_in(pair)
-        observed = result.observed_matches_in(pair)
-        pair_true = ground_truth.count_matches(
-            pair.left.indices, pair.right.indices
+    tables = result.blocking.tables
+    claimed_true = sum(
+        ground_truth.count_matches(
+            tables.left.classes[i].indices,
+            tables.right.classes[j].indices,
         )
-        claimed_pairs += pair.size - compared
-        claimed_true += pair_true - observed
+        for i, j in result.claimed.tolist()
+    )
+    claimed_true -= result.claimed_partial()[1]
     return Evaluation(
         true_matches=ground_truth.total_matches(),
         verified_matches=result.verified_match_pairs,
-        claimed_pairs=claimed_pairs,
+        claimed_pairs=result.claimed_pairs,
         claimed_true_matches=claimed_true,
     )

@@ -275,13 +275,15 @@ class RemoteSMCBridge:
 
         Returns, per lease, its matching ``(left_offset, right_offset)``
         pairs in row-major order, as :meth:`repro.protocol.SMCBridge
-        .compare_many` does.
+        .compare_many` does. The round trips are timed as the ``net.smc``
+        span, which nests inside the querying party's ``linkage.smc``.
         """
         results: list[list[tuple[int, int]]] = []
-        for start in range(0, len(leases), self._batch_size):
-            results.extend(
-                self._send_batch(leases[start : start + self._batch_size])
-            )
+        with self._telemetry.span("net.smc", session=self.session_id):
+            for start in range(0, len(leases), self._batch_size):
+                results.extend(
+                    self._send_batch(leases[start : start + self._batch_size])
+                )
         return results
 
     def _send_batch(self, leases: list[Lease]) -> list[list[tuple[int, int]]]:
@@ -429,7 +431,8 @@ class QueryingPartyClient:
     to ``bob``); the decision logic is the unchanged
     :class:`repro.protocol.QueryingParty`, which records its ``blocking``,
     ``select``, ``linkage.smc`` and ``linkage.leftovers`` spans on this
-    client's telemetry, inside ``net.smc``.
+    client's telemetry, inside ``net.linkage``; the bridge's round trips
+    are ``net.smc``, inside ``linkage.smc``.
     """
 
     def __init__(
@@ -498,8 +501,7 @@ class QueryingPartyClient:
                     strategy=self.strategy,
                     telemetry=self.telemetry,
                 )
-                with self.telemetry.span("net.smc", session=bridge.session_id):
-                    outcome = party.link(left_view, right_view, bridge)
+                outcome = party.link(left_view, right_view, bridge)
                 bridge.close()
                 with self.telemetry.span("net.resolve"):
                     verified = self._resolve_matches(

@@ -45,11 +45,7 @@ from repro.anonymize.base import Anonymizer, GeneralizedRelation
 from repro.crypto.smc.oracle import CountingPlaintextOracle, SMCOracle
 from repro.data.schema import Relation
 from repro.errors import ConfigurationError, ProtocolError
-from repro.linkage.blocking import (
-    block_positions,
-    check_rule_covers_qids,
-    publish_blocking_metrics,
-)
+from repro.linkage.blocking import block
 from repro.linkage.codes import CodeTables
 from repro.linkage.columns import BlockLease, RecordColumns, plan_leases
 from repro.linkage.distances import MatchRule
@@ -323,15 +319,17 @@ class UnknownLink:
     ``order`` lists row indices of the unknown positions in consumption
     order. Its first ``len(leases)`` entries were leased, with
     ``offsets[i]`` the matching ``(left_offset, right_offset)`` positions
-    of ``leases[i]``. The leftovers are ``order[leftover_start:]`` (the
-    partially leased class pair, if any, then those the allowance never
-    reached), and ``claimed`` lists the row indices of the leftovers the
-    strategy claims, in leftover order.
+    of ``leases[i]``; ``sample`` holds the same leased class positions
+    with each lease's compared and matched counts. The leftovers are
+    ``order[leftover_start:]`` (the partially leased class pair, if any,
+    then those the allowance never reached), and ``claimed`` lists the row
+    indices of the leftovers the strategy claims, in leftover order.
     """
 
     order: np.ndarray
     leases: list[Lease]
     offsets: list[list[tuple[int, int]]]
+    sample: SMCSample
     leftover_start: int
     claimed: np.ndarray
     invocations: int
@@ -413,7 +411,9 @@ def link_unknown(
         ]
     telemetry.counter("leftovers.class_pairs").add(len(leftovers))
     telemetry.counter("leftovers.claimed_class_pairs").add(len(claimed))
-    return UnknownLink(order, leases, offsets, leftover_start, claimed, billed)
+    return UnknownLink(
+        order, leases, offsets, sample, leftover_start, claimed, billed
+    )
 
 
 class QueryingParty:
@@ -452,8 +452,8 @@ class QueryingParty:
     ) -> ProtocolOutcome:
         """Run the hybrid method over two published views.
 
-        Blocking runs the library's numpy kernel
-        (:func:`~repro.linkage.blocking.block_positions`) on the views;
+        Blocking runs the library's
+        :func:`~repro.linkage.blocking.block` on the views;
         :func:`link_unknown` then orders the unknown class pairs, spends
         the allowance through *bridge* and labels the leftovers, exactly
         as :class:`~repro.linkage.hybrid.HybridLinkage` does. Handles are
@@ -464,28 +464,22 @@ class QueryingParty:
         grows by exactly the leased record pairs, or the call raises
         :class:`ProtocolError`. A bridge may be reused across calls.
         """
-        check_rule_covers_qids(self.rule, left_view, right_view)
-        telemetry = self.telemetry
-        class_pairs = len(left_view.classes) * len(right_view.classes)
-        with telemetry.span("blocking", class_pairs=class_pairs):
-            verdicts = block_positions(
-                self.rule, left_view, right_view, telemetry=telemetry
-            )
-        publish_blocking_metrics(telemetry, verdicts)
-        total_pairs = left_view.record_count * right_view.record_count
-        tables = verdicts.tables
-        unknown = verdicts.unknown
+        blocking = block(
+            self.rule, left_view, right_view, telemetry=self.telemetry
+        )
+        tables = blocking.tables
+        unknown = blocking.unknown
         link = link_unknown(
             tables,
             unknown,
             bridge,
             self.heuristic,
             self.strategy,
-            math.floor(self.allowance * total_pairs),
-            telemetry,
+            math.floor(self.allowance * blocking.total_pairs),
+            self.telemetry,
         )
         handles = []
-        right_sizes = tables.right_sizes[unknown[link.order[: len(link.leases)], 1]]
+        right_sizes = tables.right_sizes[link.sample.pairs[:, 1]]
         for (left_id, right_id, take), right_size, offsets in zip(
             link.leases, right_sizes.tolist(), link.offsets
         ):
@@ -499,14 +493,14 @@ class QueryingParty:
                 for left_offset, right_offset in offsets
             ]
         return ProtocolOutcome(
-            total_pairs=total_pairs,
-            blocked_match_pairs=verdicts.matched_pairs,
-            blocked_nonmatch_pairs=verdicts.nonmatch_pairs,
-            unknown_pairs=verdicts.unknown_pairs,
+            total_pairs=blocking.total_pairs,
+            blocked_match_pairs=blocking.matched_pairs,
+            blocked_nonmatch_pairs=blocking.nonmatch_pairs,
+            unknown_pairs=blocking.unknown_pairs,
             smc_invocations=link.invocations,
             matched_handles=handles,
-            matched_class_pairs=_id_pairs(tables, verdicts.matched),
-            leftover_pairs=verdicts.unknown_pairs - link.invocations,
+            matched_class_pairs=_id_pairs(tables, blocking.matched),
+            leftover_pairs=blocking.unknown_pairs - link.invocations,
             claimed_class_pairs=_id_pairs(tables, unknown[link.claimed]),
         )
 

@@ -1,7 +1,7 @@
 """Test-only scalar references the production kernels are checked against.
 
 Blocking. The library and the querying party block and order classes on
-the numpy kernel (``repro.linkage.blocking.block_positions``). This module
+the numpy kernel (``repro.linkage.blocking.block``). This module
 keeps the plain loop it replaced: per class pair, the slack decision on
 the two generalization sequences, then the heuristic's score of the
 expected-distance vector for the pairs the rule leaves undecided. The

@@ -77,33 +77,6 @@ class TestGeneralizedRelation:
                 relation, ("education", "work_hrs"), hierarchies, classes, k=1
             )
 
-    def test_sequence_for(self, relation, hierarchies):
-        generalized = identity_generalization(
-            relation, ("education", "work_hrs"), hierarchies
-        )
-        assert generalized.sequence_for(0) == ("Masters", Interval.point(35.0))
-
-    def test_public_view_hides_indices(self, relation, hierarchies):
-        generalized = identity_generalization(
-            relation, ("education", "work_hrs"), hierarchies
-        )
-        view = generalized.public_view()
-        assert all(isinstance(size, int) for _, size in view)
-        assert sum(size for _, size in view) == len(relation)
-
-    def test_project_sequences_regroups(self, relation, hierarchies):
-        generalized = identity_generalization(
-            relation, ("education", "work_hrs"), hierarchies
-        )
-        projected = generalized.project_sequences(["education"])
-        assert projected.qids == ("education",)
-        sequences = {eq.sequence for eq in projected.classes}
-        assert ("Masters",) in sequences
-        masters = next(
-            eq for eq in projected.classes if eq.sequence == ("Masters",)
-        )
-        assert set(masters.indices) == {0, 1}
-
     def test_minimum_class_size(self, relation, hierarchies):
         generalized = identity_generalization(
             relation, ("education", "work_hrs"), hierarchies

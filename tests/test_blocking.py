@@ -5,7 +5,9 @@ import pytest
 from repro.anonymize import MaxEntropyTDS, identity_generalization
 from repro.data.hierarchies import ADULT_QID_ORDER
 from repro.errors import ConfigurationError
-from repro.linkage.blocking import ClassPair, block
+import numpy as np
+
+from repro.linkage.blocking import block
 from repro.linkage.codes import CodeTables
 from repro.linkage.ground_truth import GroundTruth
 
@@ -38,9 +40,9 @@ class TestBlockInvariants:
         left, right = generalized_pair
         result = block(adult_rule, left, right)
         bound = adult_rule.bind(adult_pair.left.schema)
-        for pair in result.matched:
-            for left_index in pair.left.indices:
-                for right_index in pair.right.indices:
+        for i, j in result.matched.tolist():
+            for left_index in left.classes[i].indices:
+                for right_index in right.classes[j].indices:
                     assert bound.matches(
                         adult_pair.left[left_index],
                         adult_pair.right[right_index],
@@ -54,9 +56,9 @@ class TestBlockInvariants:
         result = block(adult_rule, left, right)
         truth = GroundTruth(adult_rule, adult_pair.left, adult_pair.right)
         undecided_or_matched = 0
-        for pair in result.matched + result.unknown:
+        for i, j in np.concatenate([result.matched, result.unknown]).tolist():
             undecided_or_matched += truth.count_matches(
-                pair.left.indices, pair.right.indices
+                left.classes[i].indices, right.classes[j].indices
             )
         assert undecided_or_matched == truth.total_matches()
 
@@ -106,18 +108,6 @@ class TestBlockInvariants:
         assert result.elapsed_seconds > 0
 
 
-class TestClassPair:
-    def test_size(self, generalized_pair):
-        left, right = generalized_pair
-        pair = ClassPair(left.classes[0], right.classes[0])
-        assert pair.size == left.classes[0].size * right.classes[0].size
-
-    def test_describe(self, generalized_pair):
-        left, right = generalized_pair
-        pair = ClassPair(left.classes[0], right.classes[0])
-        assert " x " in pair.describe()
-
-
 class TestExpectedDistanceCache:
     """The code tables' cached expected-distance matrices."""
 
@@ -128,22 +118,20 @@ class TestExpectedDistanceCache:
 
         left, right = generalized_pair
         tables = CodeTables(adult_rule, left, right)
-        pair = ClassPair(left.classes[0], right.classes[1])
         left_positions = [left.qids.index(name) for name in adult_rule.names]
         right_positions = [right.qids.index(name) for name in adult_rule.names]
         direct = expected_distance_vector(
             adult_rule.attributes,
-            [pair.left.sequence[p] for p in left_positions],
-            [pair.right.sequence[p] for p in right_positions],
+            [left.classes[0].sequence[p] for p in left_positions],
+            [right.classes[1].sequence[p] for p in right_positions],
         )
-        [row] = tables.expected_for_pairs(*tables.pair_positions([pair]))
+        [row] = tables.expected_for_pairs(np.array([0]), np.array([1]))
         assert tuple(row.tolist()) == direct
 
     def test_cache_is_consistent_across_calls(self, adult_rule, generalized_pair):
         left, right = generalized_pair
         tables = CodeTables(adult_rule, left, right)
-        pair = ClassPair(left.classes[0], right.classes[0])
-        positions = tables.pair_positions([pair])
+        positions = np.array([0]), np.array([0])
         first = tables.expected_for_pairs(*positions)
         assert (tables.expected_for_pairs(*positions) == first).all()
         assert tables.expected_matrix(0) is tables.expected_matrix(0)

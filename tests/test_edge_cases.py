@@ -84,4 +84,4 @@ class TestHybridZeroUnknown:
         )
         assert result.blocking.unknown_pairs == 0
         assert result.smc_invocations == 0
-        assert result.leftovers == []
+        assert len(result.leftovers) == 0

@@ -1,7 +1,7 @@
 """Kernel parity: the numpy kernel must match the scalar reference loop.
 
 Blocking, heuristic ordering and leftover scoring run on the vectorized
-kernel (``block_positions`` / ``CodeTables``). It is only admissible
+kernel (``block`` / ``CodeTables``). It is only admissible
 because it computes what the plain per-class-pair loop of
 ``tests/reference.py`` computes: same decisions, same counts, same scores,
 same ordering. These tests pin that contract, both on hypothesis-generated
@@ -21,8 +21,7 @@ from repro.data.schema import Attribute, Relation, Schema
 from repro.data.strings import PrefixHierarchy
 from repro.data.vgh import CategoricalHierarchy, Interval, IntervalHierarchy
 from repro.errors import ConfigurationError
-from repro.linkage.blocking import ClassPair, block, block_positions
-from repro.linkage.codes import CodeTables
+from repro.linkage.blocking import block
 from repro.linkage.distances import MatchAttribute, MatchRule
 from repro.linkage.heuristics import HEURISTICS, MinAvgFirst
 
@@ -50,33 +49,26 @@ CONTINUOUS_NODES = HOURS.nodes + tuple(
 NAME_NODES = ("*", "a*", "ab*", "abc", "abd", "b*", "bc", "bcd*")
 
 
-def _pair_keys(pairs):
-    """Order-sensitive, identity-free rendering of a class-pair list."""
-    return [(pair.left.indices, pair.right.indices) for pair in pairs]
-
-
-def _positions(pairs, left, right):
+def _positions(pairs):
     """``(left position, right position)`` of each class pair, in order."""
-    left_index = {id(eq_class): i for i, eq_class in enumerate(left.classes)}
-    right_index = {id(eq_class): i for i, eq_class in enumerate(right.classes)}
-    return [(left_index[id(pair.left)], right_index[id(pair.right)]) for pair in pairs]
+    return [tuple(pair) for pair in pairs.tolist()]
 
 
 def _assert_blocking_matches_reference(rule, left, right, result):
     reference = reference_link(rule, MinAvgFirst(), left, right, 0.0)
-    assert _positions(result.matched, left, right) == reference.matched_class_pairs
-    assert _positions(result.unknown, left, right) == reference.unknown_class_pairs
+    assert _positions(result.matched) == reference.matched_class_pairs
+    assert _positions(result.unknown) == reference.unknown_class_pairs
     assert result.matched_pairs == reference.blocked_match_pairs
     assert result.nonmatch_pairs == reference.blocked_nonmatch_pairs
     assert result.unknown_pairs == reference.unknown_pairs
     assert result.total_pairs == len(left.source) * len(right.source)
 
 
-def _assert_orderings_match_reference(rule, left, right, verdicts):
+def _assert_orderings_match_reference(rule, left, right, blocking):
     for heuristic in HEURISTICS.values():
-        order = heuristic.order(verdicts.unknown, verdicts.tables)
+        order = heuristic.order(blocking.unknown, blocking.tables)
         reference = reference_link(rule, heuristic, left, right, 0.0)
-        assert [tuple(pair) for pair in verdicts.unknown[order].tolist()] == [
+        assert _positions(blocking.unknown[order]) == [
             (left_id, right_id) for _, _, left_id, right_id in reference.ordered_unknown
         ], heuristic.name
 
@@ -132,8 +124,8 @@ class TestBlockingParity:
     @settings(max_examples=15, deadline=None)
     def test_heuristic_orderings_agree(self, case):
         left, right, rule, _ = case
-        verdicts = block_positions(rule, left, right)
-        _assert_orderings_match_reference(rule, left, right, verdicts)
+        blocking = block(rule, left, right)
+        _assert_orderings_match_reference(rule, left, right, blocking)
 
     @given(case=linkage_case())
     @settings(max_examples=15, deadline=None)
@@ -141,14 +133,14 @@ class TestBlockingParity:
         """minAvgFirst's vectorized score, which the learned leftover
         classifier shares, equals the scalar loop's."""
         left, right, rule, _ = case
-        verdicts = block_positions(rule, left, right)
-        unknown = verdicts.unknown
+        blocking = block(rule, left, right)
+        unknown = blocking.unknown
         reference = reference_link(rule, MinAvgFirst(), left, right, 0.0)
         by_position = {
             (left_id, right_id): score
             for score, _, left_id, right_id in reference.ordered_unknown
         }
-        matrix = verdicts.tables.expected_for_pairs(unknown[:, 0], unknown[:, 1])
+        matrix = blocking.tables.expected_for_pairs(unknown[:, 0], unknown[:, 1])
         # Bit-identical, not approx.
         assert MinAvgFirst().score_array(matrix).tolist() == [
             by_position[tuple(position)] for position in unknown.tolist()
@@ -168,7 +160,7 @@ class TestBlockingParity:
         result = block(rule, empty, empty)
         assert result.total_pairs == 0
         assert result.nonmatch_pairs == 0
-        assert not result.matched and not result.unknown
+        assert len(result.matched) == 0 and len(result.unknown) == 0
         assert result.blocking_efficiency == 1.0
 
 
@@ -191,39 +183,47 @@ class TestAdultCorpusParity:
 
     def test_ordering_parity(self, adult_rule, generalized_pair):
         left, right = generalized_pair
-        verdicts = block_positions(adult_rule, left, right)
-        assert len(verdicts.unknown)
-        _assert_orderings_match_reference(adult_rule, left, right, verdicts)
+        blocking = block(adult_rule, left, right)
+        assert len(blocking.unknown)
+        _assert_orderings_match_reference(adult_rule, left, right, blocking)
 
 
 class TestForeignClassPairs:
-    """A class pair outside the given relations is a config error."""
+    """A blocking result is bound to its relations and its rule."""
 
     def test_run_from_blocking_rejects_foreign_class(self, toy_rule, toy_generalized):
-        """run_from_blocking cannot order a class it cannot place."""
+        """Class positions of other relations cannot be placed."""
         from repro.linkage.hybrid import HybridLinkage, LinkageConfig
 
         r_prime, s_prime = toy_generalized
-        foreign = ClassPair(
-            EquivalenceClass(r_prime.classes[0].sequence, (999,)),
-            s_prime.classes[0],
-        )
         blocking = block(toy_rule, r_prime, s_prime)
-        blocking.unknown = [ClassPair(r_prime.classes[0], s_prime.classes[0]), foreign]
-        for heuristic in HEURISTICS.values():
-            linkage = HybridLinkage(LinkageConfig(toy_rule, heuristic=heuristic))
-            with pytest.raises(ConfigurationError):
-                linkage.run_from_blocking(blocking, r_prime, s_prime)
-
-    def test_pair_positions_reject_foreign_class(self, toy_rule, toy_generalized):
-        r_prime, s_prime = toy_generalized
-        foreign = ClassPair(
-            r_prime.classes[0],
-            EquivalenceClass(s_prime.classes[0].sequence, (999,)),
+        copy = GeneralizedRelation(
+            r_prime.source, r_prime.qids, r_prime.hierarchies,
+            r_prime.classes, k=r_prime.k,
         )
-        tables = CodeTables(toy_rule, r_prime, s_prime)
-        with pytest.raises(ConfigurationError):
-            tables.pair_positions([foreign])
+        linkage = HybridLinkage(LinkageConfig(toy_rule))
+        for left, right in ((s_prime, r_prime), (copy, s_prime), (r_prime, r_prime)):
+            with pytest.raises(ConfigurationError, match="other relations"):
+                linkage.run_from_blocking(blocking, left, right)
+        linkage.run_from_blocking(blocking, r_prime, s_prime)
+
+    def test_run_from_blocking_rejects_other_rule(self, toy_rule, toy_generalized):
+        """Verdicts of another rule would silently decide the wrong pairs."""
+        from repro.linkage.hybrid import HybridLinkage, LinkageConfig
+
+        r_prime, s_prime = toy_generalized
+        blocking = block(toy_rule, r_prime, s_prime)
+        for rule in (
+            toy_rule.with_thresholds(0.3),
+            toy_rule.restrict(toy_rule.names[:1]),
+        ):
+            linkage = HybridLinkage(LinkageConfig(rule))
+            with pytest.raises(ConfigurationError, match="computed under"):
+                linkage.run_from_blocking(blocking, r_prime, s_prime)
+        same = MatchRule(toy_rule.attributes)
+        HybridLinkage(LinkageConfig(same)).run_from_blocking(
+            blocking, r_prime, s_prime
+        )
 
 
 class TestEndToEndParity:
@@ -239,12 +239,9 @@ class TestEndToEndParity:
         reference = reference_link(toy_rule, MinAvgFirst(), r_prime, s_prime, 0.5)
         assert reference.leases
         assert [
-            (*position, observation.compared)
-            for position, observation in zip(
-                _positions(
-                    [o.pair for o in result.observations], r_prime, s_prime
-                ),
-                result.observations,
+            (*position, compared)
+            for position, compared in zip(
+                _positions(result.sample.pairs), result.sample.compared.tolist()
             )
         ] == [tuple(lease) for lease in reference.leases]
         assert result.smc_invocations == sum(lease.take for lease in reference.leases)
@@ -256,7 +253,7 @@ class TestEndToEndParity:
                 leased - partial:
             ]
         ]
-        assert _positions(result.leftovers, r_prime, s_prime) == expected_leftovers
+        assert _positions(result.leftovers) == expected_leftovers
 
     def test_telemetry_does_not_change_decisions(
         self, toy_rule, toy_generalized
@@ -275,16 +272,14 @@ class TestEndToEndParity:
         assert plain.smc_matched_pairs == observed.smc_matched_pairs
         assert plain.smc_invocations == observed.smc_invocations
         assert plain.attribute_comparisons == observed.attribute_comparisons
-        assert _pair_keys(plain.leftovers) == _pair_keys(observed.leftovers)
-        assert _pair_keys(plain.claimed) == _pair_keys(observed.claimed)
+        assert _positions(plain.leftovers) == _positions(observed.leftovers)
+        assert _positions(plain.claimed) == _positions(observed.claimed)
         assert plain.reported_match_pairs == observed.reported_match_pairs
-        assert [
-            (o.pair.left.indices, o.pair.right.indices, o.compared, o.matches)
-            for o in plain.observations
-        ] == [
-            (o.pair.left.indices, o.pair.right.indices, o.compared, o.matches)
-            for o in observed.observations
-        ]
+        for field in plain.sample._fields:
+            assert (
+                getattr(plain.sample, field).tolist()
+                == getattr(observed.sample, field).tolist()
+            )
 
 
 class TestTelemetryAcceptance:

@@ -92,19 +92,18 @@ def library_run(pair, rule, k, allowance, heuristic, strategy):
     config = LinkageConfig(
         rule, allowance=allowance, heuristic=heuristic, strategy=strategy
     )
-    result = HybridLinkage(config).run(
-        anonymizer.anonymize(pair.left, QIDS, k),
-        anonymizer.anonymize(pair.right, QIDS, k),
-    )
+    left = anonymizer.anonymize(pair.left, QIDS, k)
+    right = anonymizer.anonymize(pair.right, QIDS, k)
+    result = HybridLinkage(config).run(left, right)
     return (
         set(result.iter_verified_matches()),
         result.leftover_pairs,
         result.smc_invocations,
         {
-            (left, right)
-            for claimed in result.claimed
-            for left in claimed.left.indices
-            for right in claimed.right.indices
+            (left_index, right_index)
+            for i, j in result.claimed.tolist()
+            for left_index in left.classes[i].indices
+            for right_index in right.classes[j].indices
         },
     )
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.anonymize import MaxEntropyTDS
 from repro.data.hierarchies import ADULT_QID_ORDER
-from repro.linkage.blocking import block_positions
+from repro.linkage.blocking import block
 from repro.linkage.expected import expected_distance_vector
 from repro.linkage.heuristics import (
     HEURISTICS,
@@ -38,9 +38,9 @@ def setup(adult_pair, adult_hierarchy_catalog, adult_rule):
     anonymizer = MaxEntropyTDS(adult_hierarchy_catalog)
     left = anonymizer.anonymize(adult_pair.left, QIDS, 32)
     right = anonymizer.anonymize(adult_pair.right, QIDS, 32)
-    verdicts = block_positions(adult_rule, left, right)
-    assert len(verdicts.unknown), "test setup needs unknown class pairs"
-    return left, right, verdicts
+    blocking = block(adult_rule, left, right)
+    assert len(blocking.unknown), "test setup needs unknown class pairs"
+    return left, right, blocking
 
 
 class TestScores:
@@ -57,34 +57,34 @@ class TestScores:
 class TestOrdering:
     @pytest.mark.parametrize("name", ["minFirst", "maxLast", "minAvgFirst"])
     def test_order_is_a_permutation(self, name, setup):
-        _, __, verdicts = setup
-        order = heuristic_by_name(name).order(verdicts.unknown, verdicts.tables)
-        assert sorted(order.tolist()) == list(range(len(verdicts.unknown)))
+        _, __, blocking = setup
+        order = heuristic_by_name(name).order(blocking.unknown, blocking.tables)
+        assert sorted(order.tolist()) == list(range(len(blocking.unknown)))
 
     @pytest.mark.parametrize("name", ["minFirst", "maxLast", "minAvgFirst"])
     def test_scores_non_decreasing(self, name, setup, adult_rule):
-        left, right, verdicts = setup
+        left, right, blocking = setup
         heuristic = heuristic_by_name(name)
-        order = heuristic.order(verdicts.unknown, verdicts.tables)
+        order = heuristic.order(blocking.unknown, blocking.tables)
         scores = [
             heuristic.score(expected_vector(adult_rule, left, right, position))
-            for position in verdicts.unknown[order].tolist()
+            for position in blocking.unknown[order].tolist()
         ]
         assert scores == sorted(scores)
 
     def test_ordering_is_deterministic(self, setup):
-        _, __, verdicts = setup
-        first = MinAvgFirst().order(verdicts.unknown, verdicts.tables)
-        second = MinAvgFirst().order(verdicts.unknown, verdicts.tables)
+        _, __, blocking = setup
+        first = MinAvgFirst().order(blocking.unknown, blocking.tables)
+        second = MinAvgFirst().order(blocking.unknown, blocking.tables)
         assert first.tolist() == second.tolist()
 
     def test_random_selection_seeded(self, setup):
-        _, __, verdicts = setup
-        unknown = verdicts.unknown
-        first = RandomSelection(seed=5).order(unknown, verdicts.tables)
-        second = RandomSelection(seed=5).order(unknown, verdicts.tables)
+        _, __, blocking = setup
+        unknown = blocking.unknown
+        first = RandomSelection(seed=5).order(unknown, blocking.tables)
+        second = RandomSelection(seed=5).order(unknown, blocking.tables)
         assert first.tolist() == second.tolist()
-        other = RandomSelection(seed=6).order(unknown, verdicts.tables)
+        other = RandomSelection(seed=6).order(unknown, blocking.tables)
         assert other.tolist() != first.tolist()
         # The same draws as shuffling the row-major class pairs themselves.
         pairs = [tuple(position) for position in unknown.tolist()]
@@ -93,10 +93,10 @@ class TestOrdering:
 
     def test_heuristics_differ(self, setup):
         """On real data the three orderings should not coincide."""
-        _, __, verdicts = setup
+        _, __, blocking = setup
         orders = {
             name: tuple(
-                heuristic.order(verdicts.unknown, verdicts.tables).tolist()
+                heuristic.order(blocking.unknown, blocking.tables).tolist()
             )
             for name, heuristic in HEURISTICS.items()
         }

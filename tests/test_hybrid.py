@@ -1,5 +1,6 @@
 """End-to-end tests of the hybrid linkage orchestrator."""
 
+import numpy as np
 import pytest
 
 from repro.anonymize import MaxEntropyTDS, identity_generalization
@@ -168,31 +169,32 @@ class TestBudgetAccounting:
 
 
 def _decision_fingerprint(result):
-    """Decision-relevant LinkageResult fields, keyed by class sequences."""
+    """Decision-relevant LinkageResult fields, keyed by class positions."""
+    sample = result.sample
     return {
         "allowance_pairs": result.allowance_pairs,
         "smc_invocations": result.smc_invocations,
         "attribute_comparisons": result.attribute_comparisons,
         "smc_matched_pairs": list(result.smc_matched_pairs),
-        "observations": [
-            (
-                observation.pair.left.sequence,
-                observation.pair.right.sequence,
-                observation.compared,
-                observation.matches,
-            )
-            for observation in result.observations
-        ],
-        "leftovers": [
-            (pair.left.sequence, pair.right.sequence)
-            for pair in result.leftovers
-        ],
-        "claimed": [
-            (pair.left.sequence, pair.right.sequence)
-            for pair in result.claimed
-        ],
+        "sample": np.column_stack(
+            (sample.pairs, sample.compared, sample.matches)
+        ).tolist(),
+        "leftovers": result.leftovers.tolist(),
+        "claimed": result.claimed.tolist(),
         "verified": list(result.iter_verified_matches()),
+        "summary": result.summary(),
     }
+
+
+def _sample_rows(result):
+    """``(left, right, compared, size)`` of each leased class pair."""
+    sample = result.sample
+    return [
+        (left, right, compared, result.blocking.record_pairs(sample.pairs[[row]]))
+        for row, ((left, right), compared) in enumerate(
+            zip(sample.pairs.tolist(), sample.compared.tolist())
+        )
+    ]
 
 
 class TestAllowanceBoundary:
@@ -204,15 +206,11 @@ class TestAllowanceBoundary:
         probe = HybridLinkage(
             LinkageConfig(adult_rule, allowance=0.01)
         ).run(left, right)
-        assert len(probe.observations) >= 2, "test needs several SMC pairs"
-        full = [
-            observation
-            for observation in probe.observations
-            if observation.compared == observation.pair.size
-        ]
+        rows = _sample_rows(probe)
+        assert len(rows) >= 2, "test needs several SMC pairs"
+        full = [size for _, _, compared, size in rows if compared == size]
         assert full, "test needs at least one fully-compared pair"
-        exact = sum(observation.pair.size for observation in full)
-        return probe.total_pairs, exact
+        return probe.total_pairs, sum(full)
 
     def test_no_duplicate_leftovers_at_exact_boundary(
         self, adult_rule, generalized_pair
@@ -225,14 +223,17 @@ class TestAllowanceBoundary:
         result = HybridLinkage(config).run(left, right)
         assert result.allowance_pairs == exact
         assert result.smc_invocations == exact
-        # The budget ran out exactly between two class pairs: every
-        # observation is complete and no pair shows up twice as leftover.
-        for observation in result.observations:
-            assert observation.compared == observation.pair.size
-        identities = [id(pair) for pair in result.leftovers]
-        assert len(set(identities)) == len(identities)
-        observed = {id(observation.pair) for observation in result.observations}
-        assert observed.isdisjoint(identities)
+        # The budget ran out exactly between two class pairs: every leased
+        # class pair is complete and no pair shows up twice as leftover.
+        for _, _, compared, size in _sample_rows(result):
+            assert compared == size
+        leftovers = [tuple(pair) for pair in result.leftovers.tolist()]
+        assert len(set(leftovers)) == len(leftovers)
+        leased = {tuple(pair) for pair in result.sample.pairs.tolist()}
+        assert leased.isdisjoint(leftovers)
+        assert result.leftover_pairs == result.blocking.record_pairs(
+            result.leftovers
+        )
 
     def test_partial_pair_listed_once_in_leftovers(
         self, adult_rule, generalized_pair
@@ -245,36 +246,42 @@ class TestAllowanceBoundary:
         result = HybridLinkage(config).run(left, right)
         assert result.smc_invocations == exact - 1
         partial = [
-            observation
-            for observation in result.observations
-            if observation.compared < observation.pair.size
+            (left, right, compared, size)
+            for left, right, compared, size in _sample_rows(result)
+            if compared < size
         ]
         assert len(partial) == 1
-        identities = [id(pair) for pair in result.leftovers]
-        assert len(set(identities)) == len(identities)
-        # The exhausted pair is both observed and (for its remainder)
-        # leftover — exactly once each.
-        assert identities.count(id(partial[0].pair)) == 1
+        [(left, right, compared, size)] = partial
+        leftovers = [tuple(pair) for pair in result.leftovers.tolist()]
+        assert len(set(leftovers)) == len(leftovers)
+        # The exhausted pair is both leased and (for its remainder)
+        # leftover — exactly once each, first among the leftovers.
+        assert leftovers.count((left, right)) == 1
+        assert leftovers[0] == (left, right)
+        assert result.leftover_pairs == size - compared + (
+            result.blocking.record_pairs(result.leftovers[1:])
+        )
 
 
 def _reference_blocking(config, left, right):
     """A BlockingResult assembled from the scalar loop of tests/reference.py."""
     from reference import reference_link
 
-    from repro.linkage.blocking import BlockingResult, ClassPair
+    from repro.linkage.blocking import BlockingResult
+    from repro.linkage.codes import CodeTables
 
     link = reference_link(config.rule, config.heuristic, left, right, 0.0)
 
-    def pairs(positions):
-        return [ClassPair(left.classes[i], right.classes[j]) for i, j in positions]
+    def positions(pairs):
+        return np.array(pairs, dtype=np.intp).reshape(-1, 2)
 
     return BlockingResult(
-        rule=config.rule,
+        tables=CodeTables(config.rule, left, right),
+        matched=positions(link.matched_class_pairs),
+        unknown=positions(link.unknown_class_pairs),
+        nonmatch_pairs=link.blocked_nonmatch_pairs,
         total_pairs=sum(c.size for c in left.classes)
         * sum(c.size for c in right.classes),
-        matched=pairs(link.matched_class_pairs),
-        unknown=pairs(link.unknown_class_pairs),
-        nonmatch_pairs=link.blocked_nonmatch_pairs,
     )
 
 
@@ -301,6 +308,38 @@ class TestRunFromBlocking:
         resumed = HybridLinkage(config).run_from_blocking(blocking, left, right)
         assert _decision_fingerprint(resumed) == _decision_fingerprint(full)
         assert resumed.total_pairs == full.total_pairs
+
+    def test_one_blocking_serves_several_heuristics(
+        self, adult_rule, generalized_pair, monkeypatch
+    ):
+        """A sweep reuses one block() result: same decisions as fresh
+        runs, and the shared code tables build each expected-distance
+        matrix once for all of its runs."""
+        from repro.linkage import codes
+        from repro.linkage.blocking import block
+
+        left, right = generalized_pair
+        configs = [
+            LinkageConfig(adult_rule, allowance=0.01, heuristic=heuristic_by_name(name))
+            for name in ("minAvgFirst", "maxLast")
+        ]
+        fresh = [HybridLinkage(config).run(left, right) for config in configs]
+        builds = []
+        build = codes.pairwise_expected_distances
+        monkeypatch.setattr(
+            codes,
+            "pairwise_expected_distances",
+            lambda *args: builds.append(args[0].name) or build(*args),
+        )
+        blocking = block(adult_rule, left, right)
+        resumed = [
+            HybridLinkage(config).run_from_blocking(blocking, left, right)
+            for config in configs
+        ]
+        for result, reference in zip(resumed, fresh):
+            assert result.blocking is blocking
+            assert _decision_fingerprint(result) == _decision_fingerprint(reference)
+        assert sorted(builds) == sorted(adult_rule.names)
 
 
 class TestStrategies:
@@ -352,21 +391,3 @@ class TestResultReporting:
         )
         assert set(result.smc_matched_pairs) <= truth
 
-    def test_observation_index_survives_dataclasses_replace(
-        self, adult_rule, generalized_pair
-    ):
-        """The lazy-hasattr bug: replace() used to carry a stale index."""
-        import dataclasses
-
-        left, right = generalized_pair
-        result = HybridLinkage(LinkageConfig(adult_rule)).run(left, right)
-        assert result.observations, "test needs SMC observations"
-        observation = result.observations[0]
-        # Prime the index on the original, then replace with no observations:
-        # the copy must rebuild its own (empty) index, not reuse the old one.
-        assert result.compared_in(observation.pair) == observation.compared
-        emptied = dataclasses.replace(result, observations=[])
-        assert emptied.compared_in(observation.pair) == 0
-        assert emptied.observed_matches_in(observation.pair) == 0
-        copied = dataclasses.replace(result)
-        assert copied.compared_in(observation.pair) == observation.compared

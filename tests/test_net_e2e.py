@@ -171,15 +171,21 @@ class TestParity:
     def test_querying_party_phases_nest_under_net_smc(
         self, runtime, net_fixture, live_servers
     ):
-        """net.smc splits into blocking, select and the bridge's compares,
-        and the blocking counters agree with the outcome."""
+        """The querying party's phases sit directly under net.linkage and
+        the bridge's round trips (net.smc) under its linkage.smc, so no
+        span is counted twice; the blocking counters agree with the
+        outcome."""
         alice, bob = live_servers
         result, telemetry = run_client(runtime, net_fixture, alice, bob)
         [root] = telemetry.trace()
-        [smc] = [span for span in root["children"] if span["name"] == "net.smc"]
-        names = [span["name"] for span in smc["children"]]
+        assert root["name"] == "net.linkage"
+        names = [span["name"] for span in root["children"]]
         assert names.index("blocking") < names.index("select")
-        assert "blocking" not in (span["name"] for span in root["children"])
+        assert names.index("select") < names.index("linkage.smc")
+        assert names.index("linkage.smc") < names.index("linkage.leftovers")
+        assert "net.smc" not in names
+        [smc] = [span for span in root["children"] if span["name"] == "linkage.smc"]
+        assert [span["name"] for span in smc["children"]] == ["net.smc"]
         outcome = result.outcome
         counter = telemetry.metrics.counter
         assert (

@@ -200,10 +200,8 @@ class TestProgressPlumbing:
         config = LinkageConfig(toy_rule, allowance=0.2, telemetry=telemetry)
         result = HybridLinkage(config).run(left, right)
         events = sink.for_phase("smc")
-        assert len(events) == len(result.observations)
-        consumed = result.allowance_pairs - sum(
-            observation.compared for observation in result.observations
-        )
+        assert len(events) == len(result.sample.pairs)
+        consumed = result.allowance_pairs - result.sample.compared.sum()
         if events:
             assert events[-1].completed == result.allowance_pairs - consumed
             assert events[-1].total == result.allowance_pairs

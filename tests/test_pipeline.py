@@ -81,9 +81,7 @@ class TestBudgetLedger:
         )
         result = HybridLinkage(config).run(left, right)
         assert result.smc_invocations > 0
-        assert result.smc_invocations == sum(
-            observation.compared for observation in result.observations
-        )
+        assert result.smc_invocations == result.sample.compared.sum()
         assert result.smc_invocations <= result.allowance_pairs
 
     def test_billing_mismatch_raises(self, adult_rule, generalized_pair):

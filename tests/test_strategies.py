@@ -5,7 +5,7 @@ import pytest
 
 from repro.anonymize import MaxEntropyTDS
 from repro.data.hierarchies import ADULT_QID_ORDER
-from repro.linkage.blocking import block_positions
+from repro.linkage.blocking import block
 from repro.linkage.strategies import (
     LearnedClassifier,
     MaximizePrecision,
@@ -23,25 +23,25 @@ def setup(adult_pair, adult_hierarchy_catalog, adult_rule):
     anonymizer = MaxEntropyTDS(adult_hierarchy_catalog)
     left = anonymizer.anonymize(adult_pair.left, QIDS, 32)
     right = anonymizer.anonymize(adult_pair.right, QIDS, 32)
-    return left, right, block_positions(adult_rule, left, right)
+    return left, right, block(adult_rule, left, right)
 
 
 class TestMaximizePrecision:
     def test_claims_nothing(self, setup):
-        _, __, verdicts = setup
+        _, __, blocking = setup
         claimed = MaximizePrecision().claim_matches(
-            verdicts.unknown, NO_SAMPLE, verdicts.tables
+            blocking.unknown, NO_SAMPLE, blocking.tables
         )
         assert claimed.tolist() == []
 
 
 class TestMaximizeRecall:
     def test_claims_everything(self, setup):
-        _, __, verdicts = setup
+        _, __, blocking = setup
         claimed = MaximizeRecall().claim_matches(
-            verdicts.unknown, NO_SAMPLE, verdicts.tables
+            blocking.unknown, NO_SAMPLE, blocking.tables
         )
-        assert claimed.tolist() == list(range(len(verdicts.unknown)))
+        assert claimed.tolist() == list(range(len(blocking.unknown)))
 
 
 class TestLearnedClassifier:
@@ -50,25 +50,25 @@ class TestLearnedClassifier:
         assert not MaximizePrecision().requires_random_selection
 
     def test_no_observations_claims_nothing(self, setup):
-        _, __, verdicts = setup
+        _, __, blocking = setup
         claimed = LearnedClassifier().claim_matches(
-            verdicts.unknown, NO_SAMPLE, verdicts.tables
+            blocking.unknown, NO_SAMPLE, blocking.tables
         )
         assert claimed.tolist() == []
 
     def test_all_negative_observations_claim_nothing(self, setup):
-        _, __, verdicts = setup
-        unknown = verdicts.unknown
+        _, __, blocking = setup
+        unknown = blocking.unknown
         observed = unknown[:5]
         sizes = (
-            verdicts.tables.left_sizes[observed[:, 0]]
-            * verdicts.tables.right_sizes[observed[:, 1]]
+            blocking.tables.left_sizes[observed[:, 0]]
+            * blocking.tables.right_sizes[observed[:, 1]]
         )
         observations = SMCSample(
             observed, np.minimum(sizes, 10), np.zeros(len(observed), dtype=int)
         )
         claimed = LearnedClassifier().claim_matches(
-            unknown[5:], observations, verdicts.tables
+            unknown[5:], observations, blocking.tables
         )
         assert claimed.tolist() == []
 
@@ -78,7 +78,7 @@ class TestLearnedClassifier:
         """Low-score pairs observed matching, high-score pairs not."""
         from repro.linkage.expected import expected_distance_vector
 
-        left, right, verdicts = setup
+        left, right, blocking = setup
         left_positions = [left.qids.index(name) for name in adult_rule.names]
         right_positions = [right.qids.index(name) for name in adult_rule.names]
 
@@ -92,7 +92,7 @@ class TestLearnedClassifier:
             )
             return sum(vector) / len(adult_rule)
 
-        scored = np.array(sorted(verdicts.unknown.tolist(), key=score))
+        scored = np.array(sorted(blocking.unknown.tolist(), key=score))
         assert len(scored) >= 8
         low = scored[:2]
         high = scored[-2:]
@@ -104,7 +104,7 @@ class TestLearnedClassifier:
         leftovers = scored[2:-2]
         claimed = set(
             LearnedClassifier()
-            .claim_matches(leftovers, observations, verdicts.tables)
+            .claim_matches(leftovers, observations, blocking.tables)
             .tolist()
         )
         # Everything claimed must score at or below everything not claimed.
