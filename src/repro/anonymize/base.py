@@ -24,9 +24,13 @@ with tree height ``h``, depth ``h + 1`` addresses the raw point values.
 from __future__ import annotations
 
 import abc
+import functools
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
+
+import numpy as np
 
 from repro.data.schema import Relation
 from repro.data.strings import PrefixHierarchy
@@ -37,6 +41,9 @@ from repro.data.vgh import (
     IntervalHierarchy,
 )
 from repro.errors import AnonymizationError
+
+if TYPE_CHECKING:
+    from repro.linkage.columns import RecordColumns
 
 Hierarchy = CategoricalHierarchy | IntervalHierarchy | PrefixHierarchy
 Sequence_ = tuple[GeneralizedValue, ...]
@@ -97,6 +104,21 @@ class EquivalenceClass:
         return "(" + ", ".join(str(value) for value in self.sequence) + ")"
 
 
+class ClassRows(NamedTuple):
+    """Every class's source row indices in one ``intp`` array.
+
+    Class ``c`` holds ``rows[starts[c]:starts[c + 1]]``, in the order of
+    its ``indices``; ``starts`` has one entry more than there are classes.
+    """
+
+    rows: np.ndarray
+    starts: np.ndarray
+
+    def of(self, position: int) -> np.ndarray:
+        """The row indices of the class at *position* (a view)."""
+        return self.rows[self.starts[position] : self.starts[position + 1]]
+
+
 class GeneralizedRelation:
     """A k-anonymized view of a relation.
 
@@ -105,6 +127,10 @@ class GeneralizedRelation:
     only so the owning data holder can answer SMC queries about its own
     records; it must never cross the party boundary (the protocol layer in
     :mod:`repro.crypto.smc` enforces that by construction).
+
+    A generalized relation and its source never change, so the holder's
+    SMC inputs derived from them, :attr:`class_rows` and
+    :attr:`qid_columns`, are built on first use and kept.
     """
 
     def __init__(
@@ -133,6 +159,29 @@ class GeneralizedRelation:
 
     def __len__(self) -> int:
         return len(self.source)
+
+    @functools.cached_property
+    def class_rows(self) -> ClassRows:
+        """Each class's source row indices, class by class."""
+        sizes = [eq_class.size for eq_class in self.classes]
+        starts = np.zeros(len(sizes) + 1, dtype=np.intp)
+        np.cumsum(sizes, dtype=np.intp, out=starts[1:])
+        rows = np.fromiter(
+            (index for eq_class in self.classes for index in eq_class.indices),
+            dtype=np.intp,
+            count=int(starts[-1]),
+        )
+        # Shared by every holder and link that uses this relation.
+        rows.flags.writeable = starts.flags.writeable = False
+        return ClassRows(rows, starts)
+
+    @functools.cached_property
+    def qid_columns(self) -> RecordColumns:
+        """The source's QID columns, encoded once."""
+        # Imported here: repro.linkage's package imports this module.
+        from repro.linkage.columns import RecordColumns
+
+        return RecordColumns.from_relation(self.source, self.qids)
 
     @property
     def distinct_sequences(self) -> int:

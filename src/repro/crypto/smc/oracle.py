@@ -37,10 +37,12 @@ from repro.crypto.smc.hamming import alice_sends_hash, finish_equality
 from repro.data.schema import Record, Schema
 from repro.errors import ConfigurationError, ProtocolError
 from repro.linkage.columns import (
+    OFFSET_DTYPE,
     BlockLease,
     RecordColumns,
     check_leases,
     lease_shape,
+    offset_pairs,
     shared_codes,
 )
 from repro.linkage.distances import MatchRule
@@ -111,11 +113,13 @@ class SMCOracle(abc.ABC):
         left: RecordColumns,
         right: RecordColumns,
         leases: Sequence[BlockLease],
-    ) -> list[list[tuple[int, int]]]:
+    ) -> list[np.ndarray]:
         """Compare the first ``take`` pairs of each lease in row-major order.
 
         Returns, per lease, the matching ``(left_offset, right_offset)``
-        positions within the lease's rows, in row-major order. The base
+        positions within the lease's rows as one ``(m, 2)``
+        :data:`~repro.linkage.columns.OFFSET_DTYPE` array, rows in
+        row-major order (``(0, 2)`` when nothing matched). The base
         implementation runs :meth:`_compare` pair by pair on the original
         values, preparing each distinct left row once per call through
         :meth:`_left_row`; the counting backend overrides it with a
@@ -135,7 +139,7 @@ class SMCOracle(abc.ABC):
                 right.values(row, right_positions)
                 for row in lease.right_rows[:columns]
             ]
-            matches = []
+            matches: list[int] = []
             for left_offset in range(rows):
                 row = int(lease.left_rows[left_offset])
                 left_row = left_rows.get(row)
@@ -147,8 +151,8 @@ class SMCOracle(abc.ABC):
                 for right_offset in range(stop):
                     self.invocations += 1
                     if self._compare(left_row, right_values[right_offset]):
-                        matches.append((left_offset, right_offset))
-            results.append(matches)
+                        matches += (left_offset, right_offset)
+            results.append(offset_pairs(matches))
         return results
 
     def reset(self) -> None:
@@ -227,8 +231,7 @@ class CountingPlaintextOracle(SMCOracle):
                 matrix[-1, remainder:] = False
             self.invocations += lease.take
             self.attribute_comparisons += lease.take * self._billable
-            rows_idx, cols_idx = np.nonzero(matrix)
-            results.append(list(zip(rows_idx.tolist(), cols_idx.tolist())))
+            results.append(np.argwhere(matrix).astype(OFFSET_DTYPE))
         return results
 
     def _lease_columns(self, left: RecordColumns, right: RecordColumns):

@@ -11,7 +11,10 @@ the two pieces every layer shares for that work:
   and integer codes into a first-seen vocabulary for categorical ones;
 - :class:`BlockLease` — one budget lease, ``(left rows, right rows,
   take)``, with each class given as row indices into its side's columns;
-  :func:`plan_leases` turns the SMC allowance into the takes.
+  :func:`plan_leases` turns the SMC allowance into the takes. A lease's
+  matches come back as one ``(m, 2)`` :data:`OFFSET_DTYPE` array of
+  ``(left_offset, right_offset)`` rows in row-major order
+  (:func:`offset_pairs`).
 
 Codes are local to one :class:`RecordColumns`; :func:`shared_codes` puts
 two sides' codes into one vocabulary covering both before they are
@@ -27,6 +30,10 @@ import numpy as np
 
 from repro.data.schema import Relation, Schema
 from repro.errors import ConfigurationError, ProtocolError
+
+#: Element type of a lease's matched ``(left_offset, right_offset)`` rows;
+#: offsets index into one class, so 32 bits hold any of them.
+OFFSET_DTYPE = np.int32
 
 
 class BlockLease(NamedTuple):
@@ -62,6 +69,11 @@ def plan_leases(
         takes.append(take)
         remaining -= take
     return takes, budget - remaining
+
+
+def offset_pairs(flat: Sequence[int]) -> np.ndarray:
+    """``[l0, r0, l1, r1, ...]`` as an ``(m, 2)`` :data:`OFFSET_DTYPE` array."""
+    return np.array(flat, dtype=OFFSET_DTYPE).reshape(-1, 2)
 
 
 def check_leases(leases: Sequence[BlockLease]) -> None:

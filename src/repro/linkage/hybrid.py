@@ -36,6 +36,7 @@ from repro.crypto.smc.oracle import CountingPlaintextOracle, SMCOracle
 from repro.data.schema import Schema
 from repro.errors import ConfigurationError, PipelineError, ProtocolError
 from repro.linkage.blocking import BlockingResult, block
+from repro.linkage.columns import OFFSET_DTYPE
 from repro.linkage.distances import MatchRule
 from repro.linkage.heuristics import MinAvgFirst, SelectionHeuristic
 from repro.linkage.strategies import (
@@ -45,7 +46,7 @@ from repro.linkage.strategies import (
     check_selection,
 )
 from repro.obs import NOOP_TELEMETRY, Telemetry
-from repro.protocol import DataHolder, SMCBridge, link_unknown
+from repro.protocol import DataHolder, SMCBridge, UnknownLink, link_unknown
 
 __all__ = [
     "HybridLinkage",
@@ -55,6 +56,9 @@ __all__ = [
 ]
 
 OracleFactory = Callable[[MatchRule, Schema], SMCOracle]
+
+#: Rows of ``smc_matches`` turned into tuples at a time when iterating.
+_CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -105,14 +109,17 @@ class LinkageResult:
     partially compared). ``leftovers`` holds the class pairs the
     allowance did not finish — the partially leased one first, if any —
     and ``claimed`` those of them the strategy labels match, in leftover
-    order; both are ``(n, 2)`` arrays.
+    order; both are ``(n, 2)`` arrays. ``smc_matches`` holds the record
+    pairs the SMC step verified as one ``(m, 2)`` array of ``(left_index,
+    right_index)`` rows, lease by lease in consumption order and row-major
+    within a lease.
     """
 
     total_pairs: int
     blocking: BlockingResult
     allowance_pairs: int
     smc_invocations: int
-    smc_matched_pairs: list[tuple[int, int]]
+    smc_matches: np.ndarray
     sample: SMCSample
     leftovers: np.ndarray
     claimed: np.ndarray
@@ -125,9 +132,15 @@ class LinkageResult:
         return self.blocking.matched_pairs
 
     @property
+    def smc_matched_pairs(self) -> list[tuple[int, int]]:
+        """``smc_matches`` as a new list of ``(left_index, right_index)``
+        tuples, in the same order."""
+        return list(zip(*self.smc_matches.T.tolist()))
+
+    @property
     def smc_match_count(self) -> int:
         """Matches the SMC step verified."""
-        return len(self.smc_matched_pairs)
+        return len(self.smc_matches)
 
     @property
     def verified_match_pairs(self) -> int:
@@ -180,7 +193,10 @@ class LinkageResult:
             for left_index in left_classes[left].indices:
                 for right_index in right_indices:
                     yield left_index, right_index
-        yield from self.smc_matched_pairs
+        matches = self.smc_matches
+        for start in range(0, len(matches), _CHUNK_ROWS):
+            chunk = matches[start : start + _CHUNK_ROWS]
+            yield from zip(chunk[:, 0].tolist(), chunk[:, 1].tolist())
 
     def summary(self) -> str:
         """Multi-line human-readable report."""
@@ -246,7 +262,8 @@ class HybridLinkage:
         attributes, or :class:`ConfigurationError` is raised.
 
         Both relations are adopted by in-process
-        :class:`~repro.protocol.DataHolder` objects, and the querying party's
+        :class:`~repro.protocol.DataHolder` objects, which reuse each
+        relation's encoded columns across runs, and the querying party's
         :func:`~repro.protocol.link_unknown` runs the steps through an
         in-process :class:`~repro.protocol.SMCBridge`. The oracle must bill
         exactly the leased record pairs; anything else is a
@@ -294,29 +311,38 @@ class HybridLinkage:
                 raise PipelineError(str(error)) from error
             if telemetry.enabled:
                 oracle.publish_metrics()
-        smc_matched = []
-        for (left_class, right_class), offsets in zip(
-            link.sample.pairs.tolist(), link.offsets
-        ):
-            left_indices = left.classes[left_class].indices
-            right_indices = right.classes[right_class].indices
-            smc_matched.extend(
-                (left_indices[left_offset], right_indices[right_offset])
-                for left_offset, right_offset in offsets
-            )
-            # Free each lease's offsets once mapped: they and the record
-            # pairs built from them are then never all alive at once.
-            offsets.clear()
         unknown = blocking.unknown
         return LinkageResult(
             total_pairs=blocking.total_pairs,
             blocking=blocking,
             allowance_pairs=allowance_pairs,
             smc_invocations=link.invocations,
-            smc_matched_pairs=smc_matched,
+            smc_matches=_record_pairs(link, left, right),
             sample=link.sample,
             leftovers=unknown[link.order[link.leftover_start :]],
             claimed=unknown[link.claimed],
             attribute_comparisons=oracle.attribute_comparisons,
             elapsed_seconds=link_span.duration,
         )
+
+
+def _record_pairs(
+    link: UnknownLink, left: GeneralizedRelation, right: GeneralizedRelation
+) -> np.ndarray:
+    """*link*'s matched offsets as ``(m, 2)`` record indices, in lease order.
+
+    All leases are mapped at once: each side's offsets are shifted by the
+    start of their lease's class in the relation's
+    :attr:`~repro.anonymize.base.GeneralizedRelation.class_rows` and then
+    gathered from its rows.
+    """
+    offsets = np.concatenate(
+        [np.empty((0, 2), dtype=OFFSET_DTYPE), *link.offsets]
+    )
+    pairs = np.empty(offsets.shape, dtype=np.intp)
+    sample = link.sample
+    for side, relation in enumerate((left, right)):
+        class_rows = relation.class_rows
+        starts = np.repeat(class_rows.starts[sample.pairs[:, side]], sample.matches)
+        pairs[:, side] = class_rows.rows[starts + offsets[:, side]]
+    return pairs

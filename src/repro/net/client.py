@@ -21,6 +21,8 @@ from __future__ import annotations
 import uuid
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.crypto.smc.channel import Transcript
 from repro.errors import (
     ConfigurationError,
@@ -268,17 +270,16 @@ class RemoteSMCBridge:
             self._fsm.to(SessionState.OPEN)
         return self
 
-    def compare_many(
-        self, leases: list[Lease]
-    ) -> list[list[tuple[int, int]]]:
+    def compare_many(self, leases: list[Lease]) -> list[np.ndarray]:
         """Run *leases* remotely, ``batch_size`` per frame, resuming on drops.
 
         Returns, per lease, its matching ``(left_offset, right_offset)``
-        pairs in row-major order, as :meth:`repro.protocol.SMCBridge
-        .compare_many` does. The round trips are timed as the ``net.smc``
-        span, which nests inside the querying party's ``linkage.smc``.
+        pairs in row-major order as an ``(m, 2)`` array, as
+        :meth:`repro.protocol.SMCBridge.compare_many` does. The round trips
+        are timed as the ``net.smc`` span, which nests inside the querying
+        party's ``linkage.smc``.
         """
-        results: list[list[tuple[int, int]]] = []
+        results: list[np.ndarray] = []
         with self._telemetry.span("net.smc", session=self.session_id):
             for start in range(0, len(leases), self._batch_size):
                 results.extend(
@@ -286,7 +287,7 @@ class RemoteSMCBridge:
                 )
         return results
 
-    def _send_batch(self, leases: list[Lease]) -> list[list[tuple[int, int]]]:
+    def _send_batch(self, leases: list[Lease]) -> list[np.ndarray]:
         try:
             shapes = [
                 (
@@ -330,7 +331,7 @@ class RemoteSMCBridge:
 
     def _accept_result(
         self, reply: dict, leases: list[Lease], shapes
-    ) -> list[list[tuple[int, int]]]:
+    ) -> list[np.ndarray]:
         if reply.get("type") != "smc_result":
             raise ProtocolError(
                 f"expected smc_result, got {reply.get('type')!r}"

@@ -393,7 +393,7 @@ class DataHolderServer:
         self._telemetry.counter("net.batches_served").add(1)
         return BatchRecord(
             seq=seq,
-            matches=tuple(tuple(offsets) for offsets in matches),
+            matches=tuple(matches),
             invocations=oracle.invocations,
             attribute_comparisons=oracle.attribute_comparisons,
             peer_wire_bytes=session.peer_transcript.bytes_on_wire,

@@ -27,6 +27,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import SessionError
 
 #: Batches the server keeps for replay. The lockstep client only ever
@@ -94,8 +96,9 @@ class BatchRecord:
     """One answered batch, cached verbatim for replay."""
 
     seq: int
-    #: Per lease: the matching (left_offset, right_offset) pairs.
-    matches: tuple[tuple[tuple[int, int], ...], ...]
+    #: Per lease: the matching (left_offset, right_offset) pairs, one
+    #: ``(m, 2)`` array each.
+    matches: tuple[np.ndarray, ...]
     invocations: int
     attribute_comparisons: int
     peer_wire_bytes: int

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from repro.crypto.paillier import EncryptedNumber, PaillierPublicKey
 from repro.data.vgh import Interval
 from repro.errors import WireError
+from repro.linkage.columns import offset_pairs
 from repro.linkage.distances import MatchRule
 from repro.protocol import Handle, Lease, PublishedClass, PublishedView
 
@@ -304,14 +305,17 @@ def decode_leases(obj) -> list[Lease]:
 
 
 def encode_lease_matches(matches) -> list:
-    """Encode per-lease matching ``(left_offset, right_offset)`` lists."""
-    return [[[left, right] for left, right in offsets] for offsets in matches]
+    """Encode per-lease ``(m, 2)`` arrays of matching ``(left_offset,
+    right_offset)`` rows as one ``[left, right]`` list per match."""
+    return [offsets.tolist() for offsets in matches]
 
 
-def decode_lease_matches(
-    obj, leases, shapes
-) -> list[list[tuple[int, int]]]:
+def decode_lease_matches(obj, leases, shapes) -> list:
     """Decode per-lease matches, checking each against its lease.
+
+    Each lease's matches come back as an ``(m, 2)``
+    :data:`~repro.linkage.columns.OFFSET_DTYPE` array, as
+    :meth:`repro.protocol.SMCBridge.compare_many` returns them.
 
     *shapes* holds ``(left class size, right class size)`` per lease, as
     published. Every offset must fall inside its classes and among the
@@ -326,7 +330,7 @@ def decode_lease_matches(
         offsets = _expect_list(entry, "lease result")
         if len(offsets) > lease.take:
             _fail(f"{len(offsets)} matches for a lease of take {lease.take}")
-        pairs = []
+        pairs: list[int] = []
         previous = -1
         for item in offsets:
             pair = _expect_list(item, "matched offsets")
@@ -342,8 +346,8 @@ def decode_lease_matches(
             if position <= previous:
                 _fail("matched offsets are not in row-major order")
             previous = position
-            pairs.append((left, right))
-        decoded.append(pairs)
+            pairs += (left, right)
+        decoded.append(offset_pairs(pairs))
     return decoded
 
 

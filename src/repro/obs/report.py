@@ -9,9 +9,11 @@ to the paper's Section VI cost accounting. Producers:
 The document is versioned (:data:`RUN_REPORT_VERSION`); its shape is
 described by :data:`RUN_REPORT_SCHEMA` (JSON-Schema flavored, for human
 readers and external validators) and enforced by the dependency-free
-:func:`validate_report`. ``python -m repro.obs.report report.json``
-validates a file and prints the human-readable summary — CI runs exactly
-that against the quick-scale smoke report.
+:func:`validate_report`, which also requires every span to lie within its
+parent's time (up to :data:`NESTING_TOLERANCE_SECONDS`).
+``python -m repro.obs.report report.json`` validates a file and prints the
+human-readable summary — CI runs exactly that against the quick-scale
+smoke report and the networked run's report.
 """
 
 from __future__ import annotations
@@ -30,6 +32,13 @@ RUN_REPORT_MINOR_VERSION = 1
 
 _SCALAR_TYPES = (bool, int, float, str)
 _PERCENTILE_KEYS = ("p50", "p95", "p99")
+
+#: Seconds a child span may start before its parent, or end after it,
+#: and still count as nested. Starts are differences of
+#: ``time.perf_counter()`` readings against one origin and durations
+#: differences of two more, so a truly nested child can overshoot only by
+#: the rounding of those sums: far below a nanosecond for runs of hours.
+NESTING_TOLERANCE_SECONDS = 1e-9
 
 #: JSON-Schema rendering of the report shape (documentation-grade; the
 #: executable contract is :func:`validate_report`, which checks the same
@@ -125,7 +134,8 @@ def _is_number(value) -> bool:
     )
 
 
-def _check_span(span, path: str, errors: list[str]) -> None:
+def _check_span(span, path: str, errors: list[str], parent=None) -> None:
+    """Check *span* and its children; *parent* is the enclosing span."""
     if not isinstance(span, dict):
         errors.append(f"{path}: span must be an object")
         return
@@ -145,12 +155,37 @@ def _check_span(span, path: str, errors: list[str]) -> None:
                 errors.append(
                     f"{path}.attributes[{key!r}]: must be a JSON scalar"
                 )
+    if parent is not None:
+        _check_nesting(span, parent, path, errors)
     children = span.get("children")
     if not isinstance(children, list):
         errors.append(f"{path}.children: must be an array")
     else:
         for index, child in enumerate(children):
-            _check_span(child, f"{path}.children[{index}]", errors)
+            _check_span(child, f"{path}.children[{index}]", errors, span)
+
+
+def _check_nesting(span: dict, parent: dict, path: str, errors: list[str]) -> None:
+    """Flag *span* if it starts before or ends after its *parent*.
+
+    Spans whose times are malformed are already reported by
+    :func:`_check_span`; they are skipped here.
+    """
+    times = [
+        item.get(key)
+        for item in (span, parent)
+        for key in ("start", "duration_seconds")
+    ]
+    if not all(_is_number(value) for value in times):
+        return
+    start, duration, parent_start, parent_duration = times
+    if start < parent_start - NESTING_TOLERANCE_SECONDS:
+        errors.append(
+            f"{path}: starts {parent_start - start:.3g} s before its parent"
+        )
+    overrun = (start + duration) - (parent_start + parent_duration)
+    if overrun > NESTING_TOLERANCE_SECONDS:
+        errors.append(f"{path}: ends {overrun:.3g} s after its parent")
 
 
 def _check_metrics(metrics, errors: list[str]) -> None:

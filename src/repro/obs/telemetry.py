@@ -94,13 +94,18 @@ class Span:
         return ended - (self._started or ended)
 
     def to_dict(self, origin: float = 0.0) -> dict:
-        """JSON-ready rendering; ``start`` is relative to *origin*."""
+        """JSON-ready rendering; ``start`` is relative to *origin*.
+
+        Children are rendered first, so a span still open is measured
+        after its open children and still ends no earlier than they do.
+        """
+        children = [child.to_dict(origin) for child in self.children]
         return {
             "name": self.name,
             "start": (self._started or origin) - origin,
             "duration_seconds": self.duration,
             "attributes": dict(self.attributes),
-            "children": [child.to_dict(origin) for child in self.children],
+            "children": children,
         }
 
 

@@ -23,9 +23,9 @@ module makes the boundary explicit:
 - :class:`SMCBridge` stands for the cryptographic protocol execution: it
   runs each lease over the holders' columnar records privately and
   returns only the matching ``(left_offset, right_offset)`` positions to
-  the querying party (with the real Paillier backend, not even the bridge
-  sees plaintext in a deployment — here it is the simulation point, as
-  in DESIGN.md §4 substitution 3).
+  the querying party, one ``(m, 2)`` array per lease (with the real
+  Paillier backend, not even the bridge sees plaintext in a deployment —
+  here it is the simulation point, as in DESIGN.md §4 substitution 3).
 
 The result identifies matches by ``(class_id, offset)`` handles; each
 holder resolves its own side back to record indices locally
@@ -37,11 +37,12 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.anonymize.base import Anonymizer, GeneralizedRelation
+from repro.anonymize.base import Anonymizer, ClassRows, GeneralizedRelation
 from repro.crypto.smc.oracle import CountingPlaintextOracle, SMCOracle
 from repro.data.schema import Relation
 from repro.errors import ConfigurationError, ProtocolError
@@ -103,17 +104,21 @@ class DataHolder:
     """A party owning a private relation.
 
     The relation is intentionally name-mangled; everything other parties
-    may learn flows through :meth:`publish` and the SMC bridge. At
-    :meth:`publish` the holder encodes its QID columns once
-    (:class:`~repro.linkage.columns.RecordColumns`) and keeps each class as
-    an array of row indices, so a handle ``(class_id, offset)`` resolves to
-    ``class_rows[class_id][offset]``.
+    may learn flows through :meth:`publish` and the SMC bridge. The
+    published relation's encoded QID columns
+    (:attr:`~repro.anonymize.base.GeneralizedRelation.qid_columns`) and
+    class row indices (:attr:`~repro.anonymize.base.GeneralizedRelation
+    .class_rows`) are built once per generalized relation and shared by
+    every holder that adopts it; a handle ``(class_id, offset)`` resolves
+    to row ``offset`` of class ``class_id``.
     """
 
     def __init__(self, name: str, relation: Relation):
         self.name = name
         self.__relation = relation
-        self.__class_rows: list[np.ndarray] = []
+        self.__class_rows = ClassRows(
+            np.empty(0, dtype=np.intp), np.zeros(1, dtype=np.intp)
+        )
         self.__columns: RecordColumns | None = None
         self.__published: PublishedView | None = None
 
@@ -137,22 +142,19 @@ class DataHolder:
 
         This is how the in-process library hands relations it anonymized
         itself to the protocol: class ``i`` of *generalized* is published
-        with ``class_id`` ``i``.
+        with ``class_id`` ``i``. Adopting the same relation again reuses
+        its encoded columns.
         """
         holder = cls(name, generalized.source)
         holder._adopt(generalized)
         return holder
 
     def _adopt(self, generalized: GeneralizedRelation) -> PublishedView:
-        qids = generalized.qids
-        self.__class_rows = [
-            np.array(eq_class.indices, dtype=np.intp)
-            for eq_class in generalized.classes
-        ]
-        self.__columns = RecordColumns.from_relation(self.__relation, qids)
+        self.__class_rows = generalized.class_rows
+        self.__columns = generalized.qid_columns
         self.__published = PublishedView(
             holder=self.name,
-            qids=tuple(qids),
+            qids=generalized.qids,
             classes=tuple(
                 PublishedClass(class_id, eq_class.sequence, eq_class.size)
                 for class_id, eq_class in enumerate(generalized.classes)
@@ -173,11 +175,11 @@ class DataHolder:
 
     def _class_rows(self, class_id: int) -> np.ndarray:
         """Row indices of class *class_id* (only the SMC bridge may call this)."""
-        if not 0 <= class_id < len(self.__class_rows):
+        if not 0 <= class_id < len(self.__class_rows.starts) - 1:
             raise ProtocolError(
                 f"holder {self.name!r} has no class {class_id}"
             )
-        return self.__class_rows[class_id]
+        return self.__class_rows.of(class_id)
 
     def _class_values(
         self, class_id: int, count: int, names: Sequence[str]
@@ -229,14 +231,15 @@ class SMCBridge:
         self._right = right
         self.oracle: SMCOracle = oracle_factory(rule, left.schema)
 
-    def compare_many(
-        self, leases: Sequence[Lease]
-    ) -> list[list[tuple[int, int]]]:
+    def compare_many(self, leases: Sequence[Lease]) -> list[np.ndarray]:
         """Run *leases*; per lease, its matching offsets in row-major order.
 
-        Each result lists the ``(left_offset, right_offset)`` positions,
-        within the two classes, of the record pairs that matched among the
-        lease's first ``take``. An unknown class id or a take outside
+        Each result is an ``(m, 2)``
+        :data:`~repro.linkage.columns.OFFSET_DTYPE` array of the
+        ``(left_offset, right_offset)`` positions, within the two classes,
+        of the record pairs that matched among the lease's first ``take``
+        (see :meth:`~repro.crypto.smc.oracle.SMCOracle.compare_block`).
+        An unknown class id or a take outside
         ``1..`` the class pair's size raises :class:`ProtocolError` before
         any pair is compared.
         """
@@ -318,17 +321,18 @@ class UnknownLink:
 
     ``order`` lists row indices of the unknown positions in consumption
     order. Its first ``len(leases)`` entries were leased, with
-    ``offsets[i]`` the matching ``(left_offset, right_offset)`` positions
-    of ``leases[i]``; ``sample`` holds the same leased class positions
-    with each lease's compared and matched counts. The leftovers are
-    ``order[leftover_start:]`` (the partially leased class pair, if any,
-    then those the allowance never reached), and ``claimed`` lists the row
-    indices of the leftovers the strategy claims, in leftover order.
+    ``offsets[i]`` the ``(m, 2)`` array of matching ``(left_offset,
+    right_offset)`` positions of ``leases[i]``; ``sample`` holds the same
+    leased class positions with each lease's compared and matched counts.
+    The leftovers are ``order[leftover_start:]`` (the partially leased
+    class pair, if any, then those the allowance never reached), and
+    ``claimed`` lists the row indices of the leftovers the strategy
+    claims, in leftover order.
     """
 
     order: np.ndarray
     leases: list[Lease]
-    offsets: list[list[tuple[int, int]]]
+    offsets: list[np.ndarray]
     sample: SMCSample
     leftover_start: int
     claimed: np.ndarray
@@ -478,20 +482,25 @@ class QueryingParty:
             math.floor(self.allowance * blocking.total_pairs),
             self.telemetry,
         )
+        # One (class_id, offset) tuple per record of each leased class,
+        # shared by all of the link's matches: a match then allocates one
+        # tuple, not three, which keeps the collector's work down.
+        left_handles: dict[int, list[Handle]] = {}
+        right_handles: dict[int, list[Handle]] = {}
         handles = []
-        right_sizes = tables.right_sizes[link.sample.pairs[:, 1]]
-        for (left_id, right_id, take), right_size, offsets in zip(
-            link.leases, right_sizes.tolist(), link.offsets
+        pairs = link.sample.pairs
+        for lease, left_size, right_size, offsets in zip(
+            link.leases,
+            tables.left_sizes[pairs[:, 0]].tolist(),
+            tables.right_sizes[pairs[:, 1]].tolist(),
+            link.offsets,
         ):
-            # One (class_id, offset) tuple per record the lease reads,
-            # shared by its matches: a match then allocates one tuple, not
-            # three, which keeps the collector's work down.
-            left = [(left_id, offset) for offset in range(-(-take // right_size))]
-            right = [(right_id, offset) for offset in range(min(take, right_size))]
-            handles += [
-                (left[left_offset], right[right_offset])
-                for left_offset, right_offset in offsets
-            ]
+            left = _class_handles(left_handles, lease.left_class, left_size)
+            right = _class_handles(right_handles, lease.right_class, right_size)
+            handles += zip(
+                map(left.__getitem__, offsets[:, 0].tolist()),
+                map(right.__getitem__, offsets[:, 1].tolist()),
+            )
         return ProtocolOutcome(
             total_pairs=blocking.total_pairs,
             blocked_match_pairs=blocking.matched_pairs,
@@ -503,6 +512,17 @@ class QueryingParty:
             leftover_pairs=blocking.unknown_pairs - link.invocations,
             claimed_class_pairs=_id_pairs(tables, unknown[link.claimed]),
         )
+
+
+def _class_handles(
+    cache: dict[int, list[Handle]], class_id: int, size: int
+) -> list[Handle]:
+    """The handles ``(class_id, offset)`` of a class's records, made once
+    per *cache*."""
+    handles = cache.get(class_id)
+    if handles is None:
+        handles = cache[class_id] = list(zip(repeat(class_id), range(size)))
+    return handles
 
 
 def _id_pairs(tables: CodeTables, positions: np.ndarray) -> list[tuple[int, int]]:

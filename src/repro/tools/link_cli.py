@@ -312,34 +312,36 @@ def main(argv: list[str] | None = None) -> int:
     if not args.left or not args.right:
         parser.error("two CSV files are required (or use --remote)")
     specs = {spec.name: spec for spec in args.attrs}
+    telemetry = Telemetry() if (args.metrics_out or args.progress) else NOOP_TELEMETRY
+    if args.progress:
+        from repro.obs import ProgressRenderer
+
+        telemetry.progress = ProgressRenderer()
     try:
-        left = load_csv(args.left, specs)
-        right = load_csv(args.right, specs)
-        if left.schema != right.schema:
-            raise ReproError("the two CSV files have different headers")
-        for name in specs:
-            if name not in left.schema:
-                raise ReproError(f"attribute {name!r} not found in the CSV header")
-        provided = None
-        if args.hierarchies:
-            from repro.data.vgh_io import load_catalog
-
-            provided = load_catalog(args.hierarchies)
-        hierarchies = build_hierarchies(args.attrs, left, right, provided)
-        rule = MatchRule(
-            MatchAttribute(spec.name, hierarchies[spec.name], spec.theta)
-            for spec in args.attrs
-        )
-        telemetry = (
-            Telemetry() if (args.metrics_out or args.progress) else NOOP_TELEMETRY
-        )
-        if args.progress:
-            from repro.obs import ProgressRenderer
-
-            telemetry.progress = ProgressRenderer()
-        anonymizer = ANONYMIZERS[args.anonymizer](hierarchies)
-        qids = tuple(spec.name for spec in args.attrs)
         try:
+            with telemetry.span("load"):
+                left = load_csv(args.left, specs)
+                right = load_csv(args.right, specs)
+            if left.schema != right.schema:
+                raise ReproError("the two CSV files have different headers")
+            for name in specs:
+                if name not in left.schema:
+                    raise ReproError(
+                        f"attribute {name!r} not found in the CSV header"
+                    )
+            with telemetry.span("hierarchies"):
+                provided = None
+                if args.hierarchies:
+                    from repro.data.vgh_io import load_catalog
+
+                    provided = load_catalog(args.hierarchies)
+                hierarchies = build_hierarchies(args.attrs, left, right, provided)
+            rule = MatchRule(
+                MatchAttribute(spec.name, hierarchies[spec.name], spec.theta)
+                for spec in args.attrs
+            )
+            anonymizer = ANONYMIZERS[args.anonymizer](hierarchies)
+            qids = tuple(spec.name for spec in args.attrs)
             with telemetry.span("anonymize", algorithm=args.anonymizer, k=args.k):
                 left_gen = anonymizer.anonymize(left, qids, args.k)
                 right_gen = anonymizer.anonymize(right, qids, args.k)

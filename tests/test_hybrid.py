@@ -6,6 +6,7 @@ import pytest
 from repro.anonymize import MaxEntropyTDS, identity_generalization
 from repro.data.hierarchies import ADULT_QID_ORDER
 from repro.errors import ConfigurationError
+from repro.linkage.columns import RecordColumns
 from repro.linkage.ground_truth import GroundTruth
 from repro.linkage.heuristics import RandomSelection, heuristic_by_name
 from repro.linkage.hybrid import HybridLinkage, LinkageConfig
@@ -391,3 +392,49 @@ class TestResultReporting:
         )
         assert set(result.smc_matched_pairs) <= truth
 
+
+    def test_smc_matches_are_one_index_array(self, adult_rule, generalized_pair):
+        left, right = generalized_pair
+        result = HybridLinkage(LinkageConfig(adult_rule, allowance=0.02)).run(
+            left, right
+        )
+        matches = result.smc_matches
+        assert matches.shape == (result.smc_match_count, 2)
+        assert result.smc_match_count > 0
+        pairs = result.smc_matched_pairs
+        assert pairs == [tuple(row) for row in matches.tolist()]
+        # A fresh list per read: editing it leaves the result alone.
+        pairs.clear()
+        assert len(result.smc_matched_pairs) == result.smc_match_count
+        with pytest.raises(AttributeError):
+            result.smc_matched_pairs = []
+        verified = list(result.iter_verified_matches())
+        assert verified[len(verified) - len(matches) :] == result.smc_matched_pairs
+
+
+class TestColumnCache:
+    def test_relations_are_encoded_once(
+        self, monkeypatch, adult_rule, adult_pair, adult_hierarchy_catalog
+    ):
+        """Runs on the same relations reuse each relation's columns."""
+        anonymizer = MaxEntropyTDS(adult_hierarchy_catalog)
+        left = anonymizer.anonymize(adult_pair.left, QIDS, 32)
+        right = anonymizer.anonymize(adult_pair.right, QIDS, 32)
+        encoded = []
+        from_relation = RecordColumns.from_relation.__func__
+
+        def counting(cls, relation, names):
+            encoded.append(relation)
+            return from_relation(cls, relation, names)
+
+        monkeypatch.setattr(RecordColumns, "from_relation", classmethod(counting))
+        linkage = HybridLinkage(LinkageConfig(adult_rule, allowance=0.02))
+        first = linkage.run(left, right)
+        second = linkage.run(left, right)
+        assert [id(relation) for relation in encoded] == [
+            id(left.source),
+            id(right.source),
+        ]
+        assert first.smc_match_count > 0
+        assert first.smc_matched_pairs == second.smc_matched_pairs
+        assert first.summary() == second.summary()

@@ -3,8 +3,9 @@
 A lease ``(left rows, right rows, take)`` compares the first ``take``
 record pairs of a class pair in row-major order. Every backend and the
 in-process bridge must return exactly the matches the scalar per-pair
-``BoundMatchRule.matches`` loop finds, in that loop's order, and bill
-exactly ``take`` invocations per lease.
+``BoundMatchRule.matches`` loop finds, in that loop's order, as one
+``(m, 2)`` ``int32`` array per lease, and bill exactly ``take``
+invocations per lease.
 """
 
 import numpy as np
@@ -37,6 +38,19 @@ def scalar_matches(rule, schema, left_records, right_records, take):
         ):
             matches.append((left_offset, right_offset))
     return matches
+
+
+def offsets_of(matches):
+    """One lease's ``(m, 2)`` ``int32`` result as offset tuples."""
+    assert isinstance(matches, np.ndarray)
+    assert matches.dtype == np.int32
+    assert matches.shape == (len(matches), 2)
+    return [tuple(row) for row in matches.tolist()]
+
+
+def per_lease(results):
+    """A ``compare_block`` result as one list of offset tuples per lease."""
+    return [offsets_of(matches) for matches in results]
 
 
 def billable(rule):
@@ -90,7 +104,7 @@ def test_counting_kernel_equals_scalar_loop(case, adult_rule, adult_sides):
         [right[row] for row in right_rows],
         take,
     )
-    assert matches == expected
+    assert offsets_of(matches) == expected
     assert oracle.invocations == take
     assert oracle.attribute_comparisons == take * billable(adult_rule)
 
@@ -105,8 +119,8 @@ def test_several_leases_in_one_call(adult_rule, adult_sides):
     batch = CountingPlaintextOracle(adult_rule, adult_schema())
     results = batch.compare_block(left_columns, right_columns, leases)
     single = CountingPlaintextOracle(adult_rule, adult_schema())
-    assert results == [
-        single.compare_block(left_columns, right_columns, [lease])[0]
+    assert per_lease(results) == [
+        offsets_of(single.compare_block(left_columns, right_columns, [lease])[0])
         for lease in leases
     ]
     assert batch.invocations == single.invocations == sum(
@@ -124,12 +138,18 @@ def test_lease_may_carry_only_the_right_rows_it_touches(
     for take in (1, 7, 29, 30, 31, 95):
         full = CountingPlaintextOracle(adult_rule, adult_schema())
         trimmed = CountingPlaintextOracle(adult_rule, adult_schema())
-        assert full.compare_block(
-            left_columns, right_columns, [BlockLease(left_rows, right_rows, take)]
-        ) == trimmed.compare_block(
-            left_columns,
-            right_columns,
-            [BlockLease(left_rows, right_rows[:take], take)],
+        assert per_lease(
+            full.compare_block(
+                left_columns,
+                right_columns,
+                [BlockLease(left_rows, right_rows, take)],
+            )
+        ) == per_lease(
+            trimmed.compare_block(
+                left_columns,
+                right_columns,
+                [BlockLease(left_rows, right_rows[:take], take)],
+            )
         )
 
 
@@ -161,8 +181,10 @@ def test_values_on_one_side_only(toy_schema, toy_relations):
     expected = scalar_matches(
         rule, toy_schema, list(left_relation), list(right_relation), 36
     )
-    assert counting.compare_block(left, right, [lease]) == [expected]
-    assert SMCOracle.compare_block(looped, left, right, [lease]) == [expected]
+    assert per_lease(counting.compare_block(left, right, [lease])) == [expected]
+    assert per_lease(
+        SMCOracle.compare_block(looped, left, right, [lease])
+    ) == [expected]
     assert (4, 4) not in expected
 
 
@@ -225,7 +247,7 @@ def test_kernel_parity_property(case, city_threshold):
         CountingPlaintextOracle(rule, schema),
         _Looping(rule, schema),
     ):
-        assert oracle.compare_block(left, right, [lease]) == [expected]
+        assert per_lease(oracle.compare_block(left, right, [lease])) == [expected]
         assert oracle.invocations == take
 
 
@@ -244,10 +266,54 @@ def test_paillier_matches_counting_on_the_same_leases(adult_rule, adult_sides):
     ]
     paillier = PaillierSMCOracle(adult_rule, adult_schema(), key_bits=256, rng=5)
     counting = CountingPlaintextOracle(adult_rule, adult_schema())
-    assert paillier.compare_block(
-        left_columns, right_columns, leases
-    ) == counting.compare_block(left_columns, right_columns, leases)
+    assert per_lease(
+        paillier.compare_block(left_columns, right_columns, leases)
+    ) == per_lease(counting.compare_block(left_columns, right_columns, leases))
     assert paillier.invocations == counting.invocations == 17
+
+
+#: One lease per shape a result can take: no pair matches (an empty
+#: ``(0, 2)`` result), a take below the right class size, and a take that
+#: stops one pair into its last row, where it finds its match.
+PARITY_LEASES = {
+    "no match": (range(0, 60, 7), range(2, 60, 9), 10),
+    "take below the right class size": ([34, 4], [41, 7, 28, 5, 12, 56], 3),
+    "partial last row": ([2, 3, 34], [41, 5, 51, 21, 38], 11),
+}
+
+
+def test_backends_return_the_same_offset_arrays(adult_rule, adult_sides):
+    """Scalar loop, counting kernel and Paillier answer in one format."""
+    left, right, left_columns, right_columns = adult_sides
+    leases = [
+        BlockLease(np.array(left_rows), np.array(right_rows), take)
+        for left_rows, right_rows, take in PARITY_LEASES.values()
+    ]
+    expected = [
+        scalar_matches(
+            adult_rule,
+            adult_schema(),
+            [left[row] for row in left_rows],
+            [right[row] for row in right_rows],
+            take,
+        )
+        for left_rows, right_rows, take in PARITY_LEASES.values()
+    ]
+    assert expected == [[], [(0, 0)], [(2, 0)]]
+    backends = {
+        "scalar loop": _Looping(adult_rule, adult_schema()),
+        "counting kernel": CountingPlaintextOracle(adult_rule, adult_schema()),
+        "paillier": PaillierSMCOracle(
+            adult_rule, adult_schema(), key_bits=256, rng=7
+        ),
+    }
+    for name, oracle in backends.items():
+        results = oracle.compare_block(left_columns, right_columns, leases)
+        assert [matches.shape for matches in results] == [
+            (len(matches), 2) for matches in expected
+        ], name
+        assert per_lease(results) == expected, name
+        assert oracle.invocations == sum(lease.take for lease in leases), name
 
 
 def alice_steps(rule, left, right, leases):
@@ -314,8 +380,12 @@ def test_paillier_encrypts_each_left_row_once_per_call(
     counting = CountingPlaintextOracle(adult_rule, adult_schema())
     operations = paillier.session.transcript.operations
     messages = paillier.session.transcript.messages
-    results = paillier.compare_block(left_columns, right_columns, leases)
-    assert results == counting.compare_block(left_columns, right_columns, leases)
+    results = per_lease(
+        paillier.compare_block(left_columns, right_columns, leases)
+    )
+    assert results == per_lease(
+        counting.compare_block(left_columns, right_columns, leases)
+    )
     assert (0, 0) in results[0]
     assert paillier.invocations == counting.invocations == 51
 
@@ -395,7 +465,7 @@ class TestBridgeParity:
                     [(lease.right_class, offset) for offset in range(right_size)]
                 )
             ]
-            assert offsets == scalar_matches(
+            assert offsets_of(offsets) == scalar_matches(
                 adult_rule, schema, left_records, right_records, lease.take
             )
         takes = sum(lease.take for lease in leases)

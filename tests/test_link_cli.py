@@ -144,6 +144,38 @@ class TestEndToEnd:
         assert counters["blocking.class_pairs"] > 0
         assert counters["smc.record_pair_comparisons"] > 0
 
+    def test_report_spans_the_setup_phases_in_order(
+        self, csv_pair, tmp_path, capsys
+    ):
+        import json
+
+        left_path, right_path, _ = csv_pair
+        report_path = str(tmp_path / "run_report.json")
+        code = main(
+            [
+                left_path,
+                right_path,
+                "--attr", "age=continuous:0.05",
+                "--attr", "education=categorical:0.5",
+                "--k", "8",
+                "--metrics-out", report_path,
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        with open(report_path) as handle:
+            trace = json.load(handle)["trace"]
+        assert [span["name"] for span in trace] == [
+            "load",
+            "hierarchies",
+            "anonymize",
+            "linkage.run",
+        ]
+        for earlier, later in zip(trace, trace[1:]):
+            assert (
+                earlier["start"] + earlier["duration_seconds"] <= later["start"]
+            )
+
     def test_header_mismatch_fails_cleanly(self, csv_pair, tmp_path, capsys):
         left_path, _, __ = csv_pair
         other = tmp_path / "other.csv"

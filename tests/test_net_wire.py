@@ -10,6 +10,7 @@ instead of crashing or being misread.
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -173,8 +174,18 @@ class TestRoundTrips:
     @given(lease_results())
     def test_lease_matches_round_trip(self, case):
         batch, shapes, matches = case
-        wired = json.loads(json.dumps(encode_lease_matches(matches)))
-        assert decode_lease_matches(wired, batch, shapes) == matches
+        arrays = [
+            np.array(offsets, dtype=np.int32).reshape(-1, 2) for offsets in matches
+        ]
+        wired = json.loads(json.dumps(encode_lease_matches(arrays)))
+        # One [left, right] list per match on the wire.
+        assert wired == [[list(pair) for pair in offsets] for offsets in matches]
+        decoded = decode_lease_matches(wired, batch, shapes)
+        assert [offsets.dtype for offsets in decoded] == [np.int32] * len(matches)
+        assert [offsets.shape for offsets in decoded] == [
+            (len(offsets), 2) for offsets in matches
+        ]
+        assert [offsets.tolist() for offsets in decoded] == wired
 
     @given(
         st.lists(
@@ -375,9 +386,9 @@ class TestLeaseRejection:
 
     def test_good_matches(self):
         matches = [[[0, 0], [0, 3], [1, 2]]]
-        assert decode_lease_matches(matches, self.LEASE, self.SHAPE) == [
-            [(0, 0), (0, 3), (1, 2)]
-        ]
+        [decoded] = decode_lease_matches(matches, self.LEASE, self.SHAPE)
+        assert decoded.dtype == np.int32
+        assert decoded.tolist() == matches[0]
 
     @pytest.mark.parametrize(
         "matches",

@@ -276,6 +276,68 @@ class TestRunReport:
         with pytest.raises(ValueError):
             validate_report(document)
 
+    @staticmethod
+    def _nested_report(child_start, child_duration):
+        """A hand-built report: ``run`` over 1.0–3.0 s with one child."""
+
+        def span(name, start, duration, children=()):
+            return {
+                "name": name,
+                "start": start,
+                "duration_seconds": duration,
+                "attributes": {},
+                "children": list(children),
+            }
+
+        return {
+            "report": RUN_REPORT_KIND,
+            "version": RUN_REPORT_VERSION,
+            "context": {},
+            "trace": [
+                span(
+                    "run",
+                    1.0,
+                    2.0,
+                    [span("ok", 1.0, 2.0), span("phase", child_start, child_duration)],
+                )
+            ],
+            "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
+        }
+
+    @pytest.mark.parametrize(
+        "start, duration, fragment",
+        [
+            (0.5, 1.0, "before its parent"),
+            (2.5, 1.0, "after its parent"),
+            (0.0, 4.0, "before its parent"),
+        ],
+    )
+    def test_validator_rejects_span_outside_its_parent(
+        self, start, duration, fragment
+    ):
+        document = self._nested_report(start, duration)
+        errors = validation_errors(document)
+        assert any(
+            error.startswith("trace[0].children[1]") and fragment in error
+            for error in errors
+        ), errors
+        with pytest.raises(ValueError):
+            validate_report(document)
+
+    def test_validator_accepts_children_within_tolerance(self):
+        from repro.obs.report import NESTING_TOLERANCE_SECONDS
+
+        slack = NESTING_TOLERANCE_SECONDS / 2
+        assert validation_errors(self._nested_report(1.0 - slack, 2.0)) == []
+        assert validation_errors(self._nested_report(1.5, 1.5 + slack)) == []
+
+    def test_open_spans_still_nest(self):
+        telemetry = Telemetry()
+        with telemetry.span("run"):
+            with telemetry.span("phase"):
+                document = telemetry.run_report()
+        assert validate_report(document) is document
+
     def test_render_mentions_spans_and_metrics(self):
         text = render_report(build_report(self._sample(), {"tool": "test"}))
         for fragment in ("run", "phase", "pairs", "engine", "rows", "tool=test"):

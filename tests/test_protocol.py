@@ -52,10 +52,11 @@ class TestBridge:
         first_left = left_view.classes[0]
         first_right = right_view.classes[0]
         take = first_left.size * first_right.size
-        [offsets] = bridge.compare_many(
+        [matched] = bridge.compare_many(
             [Lease(first_left.class_id, first_right.class_id, take)]
         )
         assert bridge.invocations == take
+        offsets = [tuple(row) for row in matched.tolist()]
         assert offsets == sorted(set(offsets))
         truth = set(
             GroundTruth(

@@ -12,6 +12,7 @@ positions.
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.anonymize import MaxEntropyTDS
@@ -53,7 +54,7 @@ class RecordingBridge:
         self.calls += 1
         self.leases.extend(leases)
         if self.inner is None:
-            return [[] for _ in leases]
+            return [np.empty((0, 2), dtype=np.int32) for _ in leases]
         return self.inner.compare_many(leases)
 
     @property
