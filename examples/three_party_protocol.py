@@ -74,10 +74,10 @@ def main():
           f"{len(outcome.matched_handles)} verified matches (by handle)")
 
     # Each holder resolves its own handles; the researcher never could.
-    left_ids = alice.resolve([pair_[0] for pair_ in outcome.matched_handles])
-    right_ids = bob.resolve([pair_[1] for pair_ in outcome.matched_handles])
+    left_ids = alice.resolve(outcome.matched_handles[:, 0])
+    right_ids = bob.resolve(outcome.matched_handles[:, 1])
     truth = set(GroundTruth(rule, pair.left, pair.right).iter_matches())
-    verified = set(zip(left_ids, right_ids))
+    verified = set(zip(left_ids.tolist(), right_ids.tolist()))
     print(f"Holders resolve them locally: {len(verified)} pairs, "
           f"{len(verified & truth)} of which ground truth confirms "
           "(all of them — the 100% precision guarantee)")

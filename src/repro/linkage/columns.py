@@ -31,8 +31,8 @@ import numpy as np
 from repro.data.schema import Relation, Schema
 from repro.errors import ConfigurationError, ProtocolError
 
-#: Element type of a lease's matched ``(left_offset, right_offset)`` rows;
-#: offsets index into one class, so 32 bits hold any of them.
+#: Element type of a lease's matched offsets and of ``(class_id, offset)``
+#: handles: offsets index into one class, and views keep ids below 2**31.
 OFFSET_DTYPE = np.int32
 
 

@@ -36,7 +36,6 @@ from repro.crypto.smc.oracle import CountingPlaintextOracle, SMCOracle
 from repro.data.schema import Schema
 from repro.errors import ConfigurationError, PipelineError, ProtocolError
 from repro.linkage.blocking import BlockingResult, block
-from repro.linkage.columns import OFFSET_DTYPE
 from repro.linkage.distances import MatchRule
 from repro.linkage.heuristics import MinAvgFirst, SelectionHeuristic
 from repro.linkage.strategies import (
@@ -46,7 +45,7 @@ from repro.linkage.strategies import (
     check_selection,
 )
 from repro.obs import NOOP_TELEMETRY, Telemetry
-from repro.protocol import DataHolder, SMCBridge, UnknownLink, link_unknown
+from repro.protocol import DataHolder, SMCBridge, link_unknown
 
 __all__ = [
     "HybridLinkage",
@@ -265,9 +264,10 @@ class HybridLinkage:
         :class:`~repro.protocol.DataHolder` objects, which reuse each
         relation's encoded columns across runs, and the querying party's
         :func:`~repro.protocol.link_unknown` runs the steps through an
-        in-process :class:`~repro.protocol.SMCBridge`. The oracle must bill
-        exactly the leased record pairs; anything else is a
-        :class:`PipelineError`.
+        in-process :class:`~repro.protocol.SMCBridge`; each holder then
+        resolves its side of the matched handles into ``smc_matches``. The
+        oracle must bill exactly the leased record pairs; anything else is
+        a :class:`PipelineError`.
         """
         config = self.config
         telemetry = config.telemetry
@@ -288,12 +288,8 @@ class HybridLinkage:
             strategy=config.strategy.name,
             allowance_pairs=allowance_pairs,
         ) as link_span:
-            bridge = SMCBridge(
-                DataHolder.adopt("left", left),
-                DataHolder.adopt("right", right),
-                config.rule,
-                config.oracle_factory,
-            )
+            holders = DataHolder.adopt("left", left), DataHolder.adopt("right", right)
+            bridge = SMCBridge(*holders, config.rule, config.oracle_factory)
             oracle = bridge.oracle
             if telemetry.enabled:
                 oracle.attach_telemetry(telemetry)
@@ -312,12 +308,15 @@ class HybridLinkage:
             if telemetry.enabled:
                 oracle.publish_metrics()
         unknown = blocking.unknown
+        matches = np.empty((len(link.handles), 2), dtype=np.intp)
+        for side, holder in enumerate(holders):
+            matches[:, side] = holder.resolve(link.handles[:, side])
         return LinkageResult(
             total_pairs=blocking.total_pairs,
             blocking=blocking,
             allowance_pairs=allowance_pairs,
             smc_invocations=link.invocations,
-            smc_matches=_record_pairs(link, left, right),
+            smc_matches=matches,
             sample=link.sample,
             leftovers=unknown[link.order[link.leftover_start :]],
             claimed=unknown[link.claimed],
@@ -325,24 +324,3 @@ class HybridLinkage:
             elapsed_seconds=link_span.duration,
         )
 
-
-def _record_pairs(
-    link: UnknownLink, left: GeneralizedRelation, right: GeneralizedRelation
-) -> np.ndarray:
-    """*link*'s matched offsets as ``(m, 2)`` record indices, in lease order.
-
-    All leases are mapped at once: each side's offsets are shifted by the
-    start of their lease's class in the relation's
-    :attr:`~repro.anonymize.base.GeneralizedRelation.class_rows` and then
-    gathered from its rows.
-    """
-    offsets = np.concatenate(
-        [np.empty((0, 2), dtype=OFFSET_DTYPE), *link.offsets]
-    )
-    pairs = np.empty(offsets.shape, dtype=np.intp)
-    sample = link.sample
-    for side, relation in enumerate((left, right)):
-        class_rows = relation.class_rows
-        starts = np.repeat(class_rows.starts[sample.pairs[:, side]], sample.matches)
-        pairs[:, side] = class_rows.rows[starts + offsets[:, side]]
-    return pairs

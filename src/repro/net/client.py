@@ -44,9 +44,9 @@ from repro.net.transport import (
     open_framed_connection,
 )
 from repro.net.wire import (
+    decode_indices,
     decode_lease_matches,
     decode_view,
-    encode_handle,
     encode_leases,
     encode_rule,
     hello_message,
@@ -54,7 +54,6 @@ from repro.net.wire import (
 )
 from repro.obs import NOOP_TELEMETRY, Telemetry
 from repro.protocol import (
-    Handle,
     Lease,
     ProtocolOutcome,
     PublishedView,
@@ -557,27 +556,27 @@ class QueryingPartyClient:
         left_view: PublishedView,
         right_view: PublishedView,
     ) -> list[tuple[int, int]]:
-        """Each holder resolves its own side of the verified handles."""
+        """Sorted distinct verified record pairs; each holder resolves its side."""
         handles = verified_match_handles(outcome, left_view, right_view)
-        if not handles:
+        if not len(handles):
             return []
-        left_indices = self._resolve_side(
-            alice_link, [pair[0] for pair in handles]
-        )
-        right_indices = self._resolve_side(
-            bob_link, [pair[1] for pair in handles]
-        )
-        return sorted(set(zip(left_indices, right_indices)))
+        left = self._resolve_side(alice_link, handles[:, 0])
+        right = self._resolve_side(bob_link, handles[:, 1])
+        width = int(right.max()) + 1
+        lefts, rights = np.divmod(np.unique(left * width + right), width)
+        return list(zip(lefts.tolist(), rights.tolist()))
 
-    def _resolve_side(
-        self, link: PartyLink, handles: list[Handle]
-    ) -> list[int]:
-        """Resolve handles through one holder, deduplicating on the wire."""
-        unique = list(dict.fromkeys(handles))
+    def _resolve_side(self, link: PartyLink, handles: np.ndarray) -> np.ndarray:
+        """Resolve one side's handles, sending each distinct handle once."""
+        width = int(handles[:, 1].max()) + 1
+        keys, inverse = np.unique(
+            handles[:, 0].astype(np.int64) * width + handles[:, 1],
+            return_inverse=True,
+        )
         reply = link.request(
             {
                 "type": "resolve",
-                "handles": [encode_handle(handle) for handle in unique],
+                "handles": np.stack(np.divmod(keys, width), axis=1).tolist(),
             },
             retry=True,
         )
@@ -585,14 +584,10 @@ class QueryingPartyClient:
             raise ProtocolError(
                 f"{link.party.name} sent a malformed resolve reply"
             )
-        indices = reply.get("indices")
-        if not isinstance(indices, list) or len(indices) != len(unique):
+        indices = decode_indices(reply.get("indices"), "resolved indices")
+        if len(indices) != len(keys):
             raise WireError(
-                f"{link.party.name} resolved {len(unique)} handles into "
-                f"{len(indices) if isinstance(indices, list) else 'no'} indices"
+                f"{link.party.name} resolved {len(keys)} handles into "
+                f"{len(indices)} indices"
             )
-        for index in indices:
-            if not isinstance(index, int) or isinstance(index, bool):
-                raise WireError("resolved index is not an integer")
-        lookup = dict(zip(unique, indices))
-        return [lookup[handle] for handle in handles]
+        return indices[inverse]

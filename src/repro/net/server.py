@@ -59,11 +59,7 @@ from repro.net.transport import (
     open_framed_connection,
 )
 from repro.net.wire import (
-    decode_class_counts,
     decode_class_rows,
-    decode_handle,
-    decode_leases,
-    decode_rule,
     encode_class_counts,
     encode_lease_matches,
     encode_view,
@@ -97,10 +93,9 @@ def schema_spec(schema) -> list:
 class _ServerSession:
     """One SMC session hosted by this server (the bridge role)."""
 
-    def __init__(self, session_id: str, rule_obj, rule_wire: dict, oracle, peer: dict):
+    def __init__(self, session_id: str, rule_obj, oracle, peer: dict):
         self.fsm = SessionStateMachine(session_id)
         self.rule = rule_obj
-        self.rule_wire = rule_wire
         self.oracle = oracle
         self.peer_spec = peer
         self.peer_conn: FramedConnection | None = None
@@ -197,8 +192,8 @@ class DataHolderServer:
             while True:
                 message = await connection.receive(IDLE_TIMEOUT)
                 try:
-                    kind = validate_request(message)
-                    response = await self._dispatch(kind, message, role)
+                    kind, fields = validate_request(message)
+                    response = await self._dispatch(kind, fields, role)
                 except WireError as error:
                     response = error_message("bad_frame", str(error))
                 except SessionError as error:
@@ -249,11 +244,12 @@ class DataHolderServer:
         return message["role"]
 
     # -- request dispatch -------------------------------------------------
-    async def _dispatch(self, kind: str, message: dict, role: str) -> dict:
+    async def _dispatch(self, kind: str, fields: dict, role: str) -> dict:
+        """Answer one request; *fields* are its decoded required fields."""
         if kind == "get_view":
             return {"type": "view", "view": encode_view(self._view)}
         if kind == "resolve":
-            return self._handle_resolve(message)
+            return self._handle_resolve(fields)
         if kind == "fetch_records":
             if role != "holder":
                 return error_message(
@@ -261,21 +257,21 @@ class DataHolderServer:
                     "fetch_records is a holder-to-holder request; the "
                     "querying party never sees raw values",
                 )
-            return self._handle_fetch(message)
+            return self._handle_fetch(fields)
         if kind == "smc_open":
-            return await self._handle_open(message)
+            return await self._handle_open(fields)
         if kind == "smc_batch":
-            return await self._handle_batch(message)
+            return await self._handle_batch(fields)
         if kind == "smc_close":
-            return await self._handle_close(message)
+            return await self._handle_close(fields)
         raise WireError(f"unhandled request type {kind!r}")  # pragma: no cover
 
-    def _handle_resolve(self, message: dict) -> dict:
-        handles = [decode_handle(item) for item in message["handles"]]
-        return {"type": "resolved", "indices": self._holder.resolve(handles)}
+    def _handle_resolve(self, fields: dict) -> dict:
+        indices = self._holder.resolve(fields["handles"])
+        return {"type": "resolved", "indices": indices.tolist()}
 
-    def _handle_fetch(self, message: dict) -> dict:
-        names = message["names"]
+    def _handle_fetch(self, fields: dict) -> dict:
+        names = fields["names"]
         schema = self._holder.schema
         for name in names:
             if name not in schema:
@@ -286,15 +282,16 @@ class DataHolderServer:
             "type": "records",
             "rows": [
                 self._holder._class_values(class_id, count, names)
-                for class_id, count in decode_class_counts(message["classes"])
+                for class_id, count in fields["classes"].tolist()
             ],
         }
 
-    async def _handle_open(self, message: dict) -> dict:
-        session_id = message["session"]
+    async def _handle_open(self, fields: dict) -> dict:
+        session_id = fields["session"]
+        rule = fields["rule"]
         existing = self._sessions.get(session_id)
         if existing is not None:
-            if message["rule"] != existing.rule_wire:
+            if rule.attributes != existing.rule.attributes:
                 raise SessionError(
                     f"session {session_id!r} was opened with a different rule"
                 )
@@ -304,16 +301,9 @@ class DataHolderServer:
                 "resumed": True,
                 "acked": existing.ledger.acked,
             }
-        peer = message.get("peer")
-        if not isinstance(peer, dict):
-            raise WireError("smc_open requires a peer holder address")
-        for key, kind in (("party", str), ("host", str), ("port", int)):
-            if not isinstance(peer.get(key), kind):
-                raise WireError(f"smc_open peer is missing a valid {key!r}")
-        rule = decode_rule(message["rule"])
         oracle = self._oracle_factory(rule, self._holder.schema)
         self._sessions[session_id] = _ServerSession(
-            session_id, rule, message["rule"], oracle, peer
+            session_id, rule, oracle, fields["peer"]
         )
         self._telemetry.counter("net.sessions_opened").add(1)
         return {
@@ -329,16 +319,15 @@ class DataHolderServer:
             raise SessionError(f"unknown session {session_id!r}")
         return session
 
-    async def _handle_batch(self, message: dict) -> dict:
-        session = self._session(message["session"])
-        seq = message["seq"]
+    async def _handle_batch(self, fields: dict) -> dict:
+        session = self._session(fields["session"])
+        seq = fields["seq"]
         record = session.ledger.replay(seq)
         if record is None:
-            leases = decode_leases(message["leases"])
             session.fsm.require(SessionState.OPEN, SessionState.IN_FLIGHT)
             if session.fsm.state is SessionState.OPEN:
                 session.fsm.to(SessionState.IN_FLIGHT)
-            record = await self._run_batch(session, seq, leases)
+            record = await self._run_batch(session, seq, fields["leases"])
             session.ledger.record(record)
         return {
             "type": "smc_result",
@@ -478,8 +467,8 @@ class DataHolderServer:
         session.peer_conn = connection
         return connection
 
-    async def _handle_close(self, message: dict) -> dict:
-        session = self._session(message["session"])
+    async def _handle_close(self, fields: dict) -> dict:
+        session = self._session(fields["session"])
         messages, channel_bytes = session.channel_estimate()
         reply = {
             "type": "smc_closed",

@@ -21,7 +21,7 @@ Boundary artifacts and their encodings:
   :class:`WireMatchAttribute` stand-ins, which preserve every quantity
   the SMC oracles consult (hierarchies themselves never cross the wire);
 - *handles* are ``[class_id, offset]`` integer pairs (the final
-  ``resolve`` step);
+  ``resolve`` step), each holder's distinct handles in one list;
 - *budget leases* are ``[left class_id, right class_id, take]`` integer
   triples, and a lease's result is its matching ``[left_offset,
   right_offset]`` pairs in row-major order — validated against the
@@ -32,6 +32,10 @@ Boundary artifacts and their encodings:
   tagged with the public modulus, and decode only under the receiver's
   own public key; a *public key* is its hex modulus and its hex
   randomizer base ``h_s``.
+
+Integer rows (handles, leases, matched offsets, fetched class counts)
+go through one strict decoder, :func:`decode_int_rows`, which checks a
+whole list at once and returns an ``(n, width)`` array.
 
 The handshake is versioned: ``hello``/``welcome`` carry
 :data:`PROTOCOL_NAME` and :data:`PROTOCOL_VERSION`, and a mismatch is
@@ -44,13 +48,16 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from repro.crypto.paillier import EncryptedNumber, PaillierPublicKey
 from repro.data.vgh import Interval
 from repro.errors import WireError
-from repro.linkage.columns import offset_pairs
+from repro.linkage.columns import OFFSET_DTYPE
 from repro.linkage.distances import MatchRule
-from repro.protocol import Handle, Lease, PublishedClass, PublishedView
+from repro.protocol import Lease, PublishedClass, PublishedView
 
 #: Protocol identifier sent in every handshake.
 PROTOCOL_NAME = "repro.net"
@@ -71,6 +78,9 @@ ROLES = ("query", "holder")
 
 #: Attribute kinds a wire rule may carry.
 RULE_KINDS = ("continuous", "categorical", "string")
+
+#: Largest class id or size a view may publish: handles hold both as int32.
+HANDLE_MAX = int(np.iinfo(OFFSET_DTYPE).max)
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +109,15 @@ def _expect_str(value, what: str) -> str:
     return value
 
 
-def _expect_int(value, what: str, *, minimum: int | None = None) -> int:
+def _expect_int(
+    value, what: str, *, minimum: int | None = None, maximum: int | None = None
+) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         _fail(f"{what} must be an integer, got {type(value).__name__}")
     if minimum is not None and value < minimum:
         _fail(f"{what} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        _fail(f"{what} must be <= {maximum}, got {value}")
     return value
 
 
@@ -243,7 +257,7 @@ def decode_view(obj) -> PublishedView:
     for entry in _expect_list(_get(view, "classes", "view"), "view classes"):
         entry = _expect_dict(entry, "published class")
         class_id = _expect_int(
-            _get(entry, "id", "class"), "class id", minimum=0
+            _get(entry, "id", "class"), "class id", minimum=0, maximum=HANDLE_MAX
         )
         if class_id in seen_ids:
             _fail(f"duplicate class id {class_id}")
@@ -259,24 +273,35 @@ def decode_view(obj) -> PublishedView:
                 f"class {class_id} sequence has {len(sequence)} values "
                 f"for {len(qids)} QIDs"
             )
-        size = _expect_int(_get(entry, "size", "class"), "class size", minimum=1)
+        size = _expect_int(
+            _get(entry, "size", "class"), "class size", minimum=1, maximum=HANDLE_MAX
+        )
         classes.append(PublishedClass(class_id, sequence, size))
     return PublishedView(holder=holder, qids=qids, classes=tuple(classes))
 
 
-def encode_handle(handle: Handle) -> list:
-    """Encode one ``(class_id, offset)`` handle."""
-    return [handle[0], handle[1]]
+def decode_int_rows(obj, what: str, width: int = 2) -> np.ndarray:
+    """Decode a list of *width*-item rows of JSON integers (not booleans)
+    in ``0 .. 2**63 - 1`` as an ``(n, width)`` ``int64`` array, checking
+    the whole list at once."""
+    items = _expect_list(obj, what)
+    if not set(map(type, items)) <= {list} or not set(map(len, items)) <= {width}:
+        _fail(f"every {what} entry must be an array of {width} integers")
+    return decode_indices(list(chain.from_iterable(items)), what).reshape(-1, width)
 
 
-def decode_handle(obj) -> Handle:
-    """Decode and validate one handle."""
-    item = _expect_list(obj, "handle")
-    if len(item) != 2:
-        _fail(f"handle must be [class_id, offset], got {len(item)} items")
-    class_id = _expect_int(item[0], "handle class_id", minimum=0)
-    offset = _expect_int(item[1], "handle offset", minimum=0)
-    return (class_id, offset)
+def decode_indices(obj, what: str) -> np.ndarray:
+    """Decode a list of non-negative JSON integers as an ``int64`` array."""
+    values = _expect_list(obj, what)
+    if not set(map(type, values)) <= {int}:
+        _fail(f"{what} must be integers")
+    try:
+        array = np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise WireError(f"{what} must be below 2**63") from None
+    if (array < 0).any():
+        _fail(f"{what} must be >= 0, got {array.min()}")
+    return array
 
 
 def encode_leases(leases) -> list:
@@ -286,22 +311,10 @@ def encode_leases(leases) -> list:
 
 def decode_leases(obj) -> list[Lease]:
     """Decode and validate a batch of budget leases."""
-    leases = []
-    for entry in _expect_list(obj, "leases"):
-        item = _expect_list(entry, "lease")
-        if len(item) != 3:
-            _fail(
-                "lease must be [left_class, right_class, take], "
-                f"got {len(item)} items"
-            )
-        leases.append(
-            Lease(
-                _expect_int(item[0], "lease left class_id", minimum=0),
-                _expect_int(item[1], "lease right class_id", minimum=0),
-                _expect_int(item[2], "lease take", minimum=1),
-            )
-        )
-    return leases
+    leases = decode_int_rows(obj, "leases", 3)
+    if (leases[:, 2] < 1).any():
+        _fail("lease take must be >= 1")
+    return [Lease(*lease) for lease in leases.tolist()]
 
 
 def encode_lease_matches(matches) -> list:
@@ -310,7 +323,7 @@ def encode_lease_matches(matches) -> list:
     return [offsets.tolist() for offsets in matches]
 
 
-def decode_lease_matches(obj, leases, shapes) -> list:
+def decode_lease_matches(obj, leases, shapes) -> list[np.ndarray]:
     """Decode per-lease matches, checking each against its lease.
 
     Each lease's matches come back as an ``(m, 2)``
@@ -321,34 +334,31 @@ def decode_lease_matches(obj, leases, shapes) -> list:
     published. Every offset must fall inside its classes and among the
     lease's first ``take`` pairs, and a lease's offsets must be strictly
     increasing in row-major order (so there are never more than ``take``).
+    The whole batch is decoded and checked as one array.
     """
     results = _expect_list(obj, "lease matches")
     if len(results) != len(leases):
         _fail(f"{len(results)} lease results for {len(leases)} leases")
-    decoded = []
-    for entry, lease, (left_size, right_size) in zip(results, leases, shapes):
-        offsets = _expect_list(entry, "lease result")
-        if len(offsets) > lease.take:
-            _fail(f"{len(offsets)} matches for a lease of take {lease.take}")
-        pairs: list[int] = []
-        previous = -1
-        for item in offsets:
-            pair = _expect_list(item, "matched offsets")
-            if len(pair) != 2:
-                _fail("matched offsets must be [left_offset, right_offset]")
-            left = _expect_int(pair[0], "matched left offset", minimum=0)
-            right = _expect_int(pair[1], "matched right offset", minimum=0)
-            if left >= left_size or right >= right_size:
-                _fail(f"matched offsets {pair} fall outside the class pair")
-            position = left * right_size + right
-            if position >= lease.take:
-                _fail(f"matched offsets {pair} fall outside the lease's take")
-            if position <= previous:
-                _fail("matched offsets are not in row-major order")
-            previous = position
-            pairs += (left, right)
-        decoded.append(offset_pairs(pairs))
-    return decoded
+    if not results:
+        return []
+    if not set(map(type, results)) <= {list}:
+        _fail("every lease result must be an array")
+    counts = np.fromiter(map(len, results), dtype=np.int64, count=len(results))
+    takes = np.array([lease.take for lease in leases], dtype=np.int64)
+    over = np.flatnonzero(counts > takes)
+    if len(over):
+        _fail(f"{counts[over[0]]} matches for a lease of take {takes[over[0]]}")
+    offsets = decode_int_rows(list(chain.from_iterable(results)), "matched offsets")
+    sizes = np.repeat(np.array(shapes, dtype=np.int64), counts, axis=0)
+    positions = offsets[:, 0] * sizes[:, 1] + offsets[:, 1]
+    outside = (offsets >= sizes).any(axis=1) | (positions >= np.repeat(takes, counts))
+    if outside.any():
+        pair = offsets[outside.argmax()].tolist()
+        _fail(f"matched offsets {pair} fall outside the class pair or the take")
+    lease = np.repeat(np.arange(len(results)), counts)
+    if ((np.diff(positions) <= 0) & (np.diff(lease) == 0)).any():
+        _fail("matched offsets are not in row-major order")
+    return np.split(offsets.astype(OFFSET_DTYPE), np.cumsum(counts)[:-1])
 
 
 def encode_class_counts(classes) -> list:
@@ -356,19 +366,11 @@ def encode_class_counts(classes) -> list:
     return [[class_id, count] for class_id, count in classes]
 
 
-def decode_class_counts(obj) -> list[tuple[int, int]]:
-    """Decode and validate a holder-link fetch's class list."""
-    classes = []
-    for entry in _expect_list(obj, "fetch classes"):
-        item = _expect_list(entry, "fetch class")
-        if len(item) != 2:
-            _fail("fetch class must be [class_id, count]")
-        classes.append(
-            (
-                _expect_int(item[0], "fetch class_id", minimum=0),
-                _expect_int(item[1], "fetch count", minimum=1),
-            )
-        )
+def decode_class_counts(obj) -> np.ndarray:
+    """Decode a holder-link fetch's ``(n, 2)`` ``[class_id, count]`` rows."""
+    classes = decode_int_rows(obj, "fetch classes")
+    if (classes[:, 1] < 1).any():
+        _fail("fetch count must be >= 1")
     return classes
 
 
@@ -645,14 +647,24 @@ def error_message(code: str, detail: str) -> dict:
     return {"type": "error", "code": code, "message": detail}
 
 
+def _decode_peer(obj) -> dict:
+    """Decode the peer holder address ``smc_open`` names."""
+    peer = _expect_dict(obj, "smc_open peer")
+    _expect_str(_get(peer, "party", "peer"), "peer party")
+    _expect_str(_get(peer, "host", "peer"), "peer host")
+    _expect_int(_get(peer, "port", "peer"), "peer port", minimum=1, maximum=65535)
+    return peer
+
+
 #: Required fields (beyond ``type``) per request message type, with the
-#: validator applied to each. Responses are validated by their consumers.
+#: decoder applied to each. Responses are validated by their consumers.
 _REQUEST_FIELDS: dict[str, dict] = {
     "get_view": {},
-    "resolve": {"handles": lambda v: [decode_handle(h) for h in _expect_list(v, "handles")]},
+    "resolve": {"handles": lambda v: decode_int_rows(v, "handles")},
     "smc_open": {
         "session": lambda v: _expect_str(v, "session id"),
         "rule": decode_rule,
+        "peer": _decode_peer,
     },
     "smc_batch": {
         "session": lambda v: _expect_str(v, "session id"),
@@ -669,8 +681,9 @@ _REQUEST_FIELDS: dict[str, dict] = {
 }
 
 
-def validate_request(message: dict) -> str:
-    """Validate an inbound request frame; returns the message type.
+def validate_request(message: dict) -> tuple[str, dict]:
+    """Validate an inbound request frame; returns its type and its required
+    fields, each decoded once.
 
     Unknown types and missing/ill-typed required fields raise
     :class:`WireError` — the strict-validator contract: a malformed frame
@@ -680,6 +693,7 @@ def validate_request(message: dict) -> str:
     fields = _REQUEST_FIELDS.get(kind)
     if fields is None:
         _fail(f"unknown request type {kind!r}")
-    for name, check in fields.items():
-        check(_get(message, name, f"{kind} request"))
-    return kind
+    return kind, {
+        name: decode(_get(message, name, f"{kind} request"))
+        for name, decode in fields.items()
+    }

@@ -27,8 +27,11 @@ module makes the boundary explicit:
   Paillier backend, not even the bridge sees plaintext in a deployment —
   here it is the simulation point, as in DESIGN.md §4 substitution 3).
 
-The result identifies matches by ``(class_id, offset)`` handles; each
-holder resolves its own side back to record indices locally
+The result identifies matches by ``(class_id, offset)`` handles, kept as
+one ``(m, 2, 2)`` :data:`~repro.linkage.columns.OFFSET_DTYPE` array
+indexed ``[match, side, (class_id, offset)]`` from :func:`link_unknown`
+to :class:`ProtocolOutcome`; each holder resolves its own side,
+``handles[:, side]``, back to record indices locally
 (:meth:`DataHolder.resolve`).
 """
 
@@ -36,8 +39,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from itertools import repeat
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -48,7 +50,7 @@ from repro.data.schema import Relation
 from repro.errors import ConfigurationError, ProtocolError
 from repro.linkage.blocking import block
 from repro.linkage.codes import CodeTables
-from repro.linkage.columns import BlockLease, RecordColumns, plan_leases
+from repro.linkage.columns import OFFSET_DTYPE, BlockLease, RecordColumns, plan_leases
 from repro.linkage.distances import MatchRule
 from repro.linkage.heuristics import MinAvgFirst, SelectionHeuristic
 from repro.linkage.strategies import (
@@ -58,9 +60,6 @@ from repro.linkage.strategies import (
     check_selection,
 )
 from repro.obs import NOOP_TELEMETRY, Telemetry
-
-#: A record handle the querying party may hold: (class_id, offset).
-Handle = tuple[int, int]
 
 
 class Lease(NamedTuple):
@@ -196,18 +195,30 @@ class DataHolder:
             for row in self._class_rows(class_id)[:count].tolist()
         ]
 
-    def resolve(self, handles: Sequence[Handle]) -> list[int]:
-        """Map this holder's handles back to its own record indices."""
-        indices = []
-        for class_id, offset in handles:
-            rows = self._class_rows(class_id)
-            if not 0 <= offset < len(rows):
-                raise ProtocolError(
-                    f"holder {self.name!r} has no record for handle "
-                    f"{(class_id, offset)}"
-                )
-            indices.append(int(rows[offset]))
-        return indices
+    def resolve(self, handles) -> np.ndarray:
+        """Map ``(class_id, offset)`` handles, any ``(n, 2)`` integer
+        array-like, to this holder's record indices (``intp``); if a handle
+        names no record, :class:`ProtocolError` names the first such one."""
+        handles = np.asarray(handles)
+        if handles.size == 0:
+            return np.empty(0, dtype=np.intp)
+        if handles.ndim != 2 or handles.shape[1] != 2 or handles.dtype.kind not in "iu":
+            raise ProtocolError(f"handles must be (n, 2) integers, not {handles!r:.60}")
+        class_ids, offsets = handles[:, 0], handles[:, 1]
+        starts = self.__class_rows.starts
+        count = len(starts) - 1
+        # An unknown class id reads the size 0 appended after the last class.
+        rows = class_ids.astype(np.intp)
+        rows[(rows < 0) | (rows > count)] = count
+        sizes = np.append(np.diff(starts), 0).astype(OFFSET_DTYPE)
+        bad = (offsets < 0) | (offsets >= sizes[rows])
+        if bad.any():
+            handle = tuple(handles[bad.argmax()].tolist())
+            raise ProtocolError(f"holder {self.name!r}: no record for handle {handle}")
+        # Both gathers write in place: every index is in bounds.
+        np.take(starts, rows, out=rows, mode="clip")
+        rows += offsets
+        return np.take(self.__class_rows.rows, rows, out=rows, mode="clip")
 
 
 class SMCBridge:
@@ -261,16 +272,24 @@ class SMCBridge:
         return self.oracle.invocations
 
 
-@dataclass
+@dataclass(eq=False)
 class ProtocolOutcome:
-    """What the querying party ends up with."""
+    """What the querying party ends up with.
+
+    ``matched_handles`` holds the SMC step's matches as one ``(m, 2, 2)``
+    :data:`~repro.linkage.columns.OFFSET_DTYPE` array indexed ``[match,
+    side, (class_id, offset)]``, lease by lease in consumption order and
+    row-major within a lease; a holder resolves its side with
+    ``holder.resolve(matched_handles[:, side])``. The ``repr`` prints every
+    field and every handle, and ``==`` compares the ``repr``.
+    """
 
     total_pairs: int
     blocked_match_pairs: int
     blocked_nonmatch_pairs: int
     unknown_pairs: int
     smc_invocations: int
-    matched_handles: list[tuple[Handle, Handle]]
+    matched_handles: np.ndarray
     matched_class_pairs: list[tuple[int, int]]
     leftover_pairs: int = 0
     claimed_class_pairs: list[tuple[int, int]] = field(default_factory=list)
@@ -288,31 +307,56 @@ class ProtocolOutcome:
         """Verified pairs: blocked-match cross products plus SMC hits."""
         return self.blocked_match_pairs + len(self.matched_handles)
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return repr(self) == repr(other)
+
+    def __repr__(self) -> str:
+        # numpy's repr elides arrays of over 1,000 elements, and one nested
+        # list of every handle takes ~300 bytes a match: 256 rows at a time.
+        handles = self.matched_handles
+        rows = ", ".join(
+            repr(handles[at : at + 256].tolist())[1:-1]
+            for at in range(0, len(handles), 256)
+        )
+        body = ", ".join(
+            f"{item.name}=[{rows}]"
+            if item.name == "matched_handles"
+            else f"{item.name}={getattr(self, item.name)!r}"
+            for item in fields(self)
+        )
+        return f"{type(self).__name__}({body})"
+
 
 def verified_match_handles(
     outcome: ProtocolOutcome,
     left_view: PublishedView,
     right_view: PublishedView,
-) -> list[tuple[Handle, Handle]]:
+) -> np.ndarray:
     """Every verified matching handle pair of *outcome*.
 
-    Blocking-M class pairs expand to their full cross product (sound by
-    the slack rule, hence true matches); SMC hits are appended as-is.
-    Each holder can resolve its side of these handles locally — this is
-    exactly the artifact the networked querying party ships to the
-    holders at the end of a remote run.
+    An ``(n, 2, 2)`` array like ``outcome.matched_handles``: blocking-M
+    class pairs first, each expanded to its full cross product in
+    row-major order (sound by the slack rule, hence true matches), then
+    the SMC hits. Each holder can resolve its side locally — this is the
+    artifact the networked querying party ships to the holders at the
+    end of a remote run.
     """
     left_sizes = {c.class_id: c.size for c in left_view.classes}
     right_sizes = {c.class_id: c.size for c in right_view.classes}
-    handles: list[tuple[Handle, Handle]] = []
-    for left_id, right_id in outcome.matched_class_pairs:
-        for left_offset in range(left_sizes[left_id]):
-            for right_offset in range(right_sizes[right_id]):
-                handles.append(
-                    ((left_id, left_offset), (right_id, right_offset))
-                )
-    handles.extend(outcome.matched_handles)
-    return handles
+    pairs = np.array(outcome.matched_class_pairs, dtype=np.int64).reshape(-1, 2)
+    sizes = np.array(
+        [(left_sizes[left], right_sizes[right]) for left, right in pairs.tolist()],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    counts = sizes.prod(axis=1)
+    within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    offsets = np.divmod(within, np.repeat(sizes[:, 1], counts))
+    blocked = np.stack(
+        (np.repeat(pairs, counts, axis=0), np.stack(offsets, axis=1)), axis=2
+    )
+    return np.concatenate((blocked.astype(OFFSET_DTYPE), outcome.matched_handles))
 
 
 @dataclass
@@ -320,10 +364,12 @@ class UnknownLink:
     """What :func:`link_unknown` decided about the unknown class pairs.
 
     ``order`` lists row indices of the unknown positions in consumption
-    order. Its first ``len(leases)`` entries were leased, with
-    ``offsets[i]`` the ``(m, 2)`` array of matching ``(left_offset,
-    right_offset)`` positions of ``leases[i]``; ``sample`` holds the same
-    leased class positions with each lease's compared and matched counts.
+    order. Its first ``len(leases)`` entries were leased; ``sample`` holds
+    the same leased class positions with each lease's compared and
+    matched counts, and ``handles`` the matches as one ``(m, 2, 2)``
+    :data:`~repro.linkage.columns.OFFSET_DTYPE` array indexed ``[match,
+    side, (class_id, offset)]``, lease by lease, each lease's rows in the
+    bridge's row-major order.
     The leftovers are ``order[leftover_start:]`` (the partially leased
     class pair, if any, then those the allowance never reached), and
     ``claimed`` lists the row indices of the leftovers the strategy
@@ -332,7 +378,7 @@ class UnknownLink:
 
     order: np.ndarray
     leases: list[Lease]
-    offsets: list[np.ndarray]
+    handles: np.ndarray
     sample: SMCSample
     leftover_start: int
     claimed: np.ndarray
@@ -369,7 +415,10 @@ def link_unknown(
     sizes = tables.left_sizes[ordered[:, 0]] * tables.right_sizes[ordered[:, 1]]
     takes, granted = plan_leases(sizes.tolist(), allowance_pairs)
     leased = ordered[: len(takes)]
-    leases = [Lease(*ids, take) for ids, take in zip(_id_pairs(tables, leased), takes)]
+    ids = np.stack((tables.left_ids[leased[:, 0]], tables.right_ids[leased[:, 1]]), 1)
+    if ids.size and ids.max() > np.iinfo(OFFSET_DTYPE).max:
+        raise ProtocolError(f"class id {ids.max()} does not fit an int32 handle")
+    leases = [Lease(*pair, take) for pair, take in zip(ids.tolist(), takes)]
     with telemetry.span("linkage.smc", leases=len(leases)) as smc_span:
         billed = bridge.invocations
         offsets = bridge.compare_many(leases)
@@ -400,6 +449,10 @@ def link_unknown(
         )
     telemetry.counter("smc.allowance_pairs").add(allowance_pairs)
     telemetry.counter("smc.matched_pairs").add(matched)
+    handles = np.empty((matched, 2, 2), dtype=OFFSET_DTYPE)
+    handles[:, :, 0] = np.repeat(ids.astype(OFFSET_DTYPE), matches, axis=0)
+    if offsets:
+        np.concatenate(offsets, out=handles[:, :, 1])
     leftover_start = len(takes)
     if takes and takes[-1] < sizes[leftover_start - 1]:
         leftover_start -= 1  # the partially leased class pair
@@ -416,7 +469,7 @@ def link_unknown(
     telemetry.counter("leftovers.class_pairs").add(len(leftovers))
     telemetry.counter("leftovers.claimed_class_pairs").add(len(claimed))
     return UnknownLink(
-        order, leases, offsets, sample, leftover_start, claimed, billed
+        order, leases, handles, sample, leftover_start, claimed, billed
     )
 
 
@@ -460,9 +513,9 @@ class QueryingParty:
         :func:`~repro.linkage.blocking.block` on the views;
         :func:`link_unknown` then orders the unknown class pairs, spends
         the allowance through *bridge* and labels the leftovers, exactly
-        as :class:`~repro.linkage.hybrid.HybridLinkage` does. Handles are
-        built only for the matches that come back, and claimed class pairs
-        are reported by id.
+        as :class:`~repro.linkage.hybrid.HybridLinkage` does. The outcome's
+        ``matched_handles`` is the link's handle array, and matched and
+        claimed class pairs are reported by id.
 
         ``smc_invocations`` is what this call spent: the bridge's count
         grows by exactly the leased record pairs, or the call raises
@@ -482,47 +535,17 @@ class QueryingParty:
             math.floor(self.allowance * blocking.total_pairs),
             self.telemetry,
         )
-        # One (class_id, offset) tuple per record of each leased class,
-        # shared by all of the link's matches: a match then allocates one
-        # tuple, not three, which keeps the collector's work down.
-        left_handles: dict[int, list[Handle]] = {}
-        right_handles: dict[int, list[Handle]] = {}
-        handles = []
-        pairs = link.sample.pairs
-        for lease, left_size, right_size, offsets in zip(
-            link.leases,
-            tables.left_sizes[pairs[:, 0]].tolist(),
-            tables.right_sizes[pairs[:, 1]].tolist(),
-            link.offsets,
-        ):
-            left = _class_handles(left_handles, lease.left_class, left_size)
-            right = _class_handles(right_handles, lease.right_class, right_size)
-            handles += zip(
-                map(left.__getitem__, offsets[:, 0].tolist()),
-                map(right.__getitem__, offsets[:, 1].tolist()),
-            )
         return ProtocolOutcome(
             total_pairs=blocking.total_pairs,
             blocked_match_pairs=blocking.matched_pairs,
             blocked_nonmatch_pairs=blocking.nonmatch_pairs,
             unknown_pairs=blocking.unknown_pairs,
             smc_invocations=link.invocations,
-            matched_handles=handles,
+            matched_handles=link.handles,
             matched_class_pairs=_id_pairs(tables, blocking.matched),
             leftover_pairs=blocking.unknown_pairs - link.invocations,
             claimed_class_pairs=_id_pairs(tables, unknown[link.claimed]),
         )
-
-
-def _class_handles(
-    cache: dict[int, list[Handle]], class_id: int, size: int
-) -> list[Handle]:
-    """The handles ``(class_id, offset)`` of a class's records, made once
-    per *cache*."""
-    handles = cache.get(class_id)
-    if handles is None:
-        handles = cache[class_id] = list(zip(repeat(class_id), range(size)))
-    return handles
 
 
 def _id_pairs(tables: CodeTables, positions: np.ndarray) -> list[tuple[int, int]]:

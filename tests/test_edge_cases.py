@@ -1,5 +1,6 @@
 """Edge-case tests for paths the main suites exercise only implicitly."""
 
+import numpy as np
 import pytest
 
 from repro.bench.runner import format_cell, render_table
@@ -31,7 +32,7 @@ class TestProtocolOutcomeEdges:
             blocked_nonmatch_pairs=0,
             unknown_pairs=0,
             smc_invocations=0,
-            matched_handles=[],
+            matched_handles=np.empty((0, 2, 2), dtype=np.int32),
             matched_class_pairs=[],
         )
         assert outcome.blocking_efficiency == 1.0

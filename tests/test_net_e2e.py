@@ -41,6 +41,7 @@ from repro.net.wire import (
     FRAME_HEADER,
     PROTOCOL_VERSION,
     encode_frame,
+    encode_rule,
     hello_message,
 )
 from repro.obs import Telemetry
@@ -212,6 +213,42 @@ class TestParity:
             == counter("blocking.unknown_class_pairs").value
             > 0
         )
+
+
+def test_large_outcome_repr_is_complete(runtime):
+    """An outcome of over 1,000 matches prints every handle, and the
+    networked outcome prints exactly as the in-process one."""
+    catalog = adult_hierarchies()
+    rule = MatchRule(MatchAttribute(name, catalog[name], 0.5) for name in QIDS)
+    pair = build_linkage_pair(generate_adult(800, seed=11), seed=12)
+    alice = DataHolder("alice", pair.left)
+    bob = DataHolder("bob", pair.right)
+    left_view = alice.publish(MaxEntropyTDS(catalog), QIDS, K)
+    right_view = bob.publish(MaxEntropyTDS(catalog), QIDS, K)
+    expected = QueryingParty(rule, allowance=1.0).link(
+        left_view, right_view, SMCBridge(alice, bob, rule)
+    )
+    assert len(expected.matched_handles) > 1_000
+    servers = [
+        runtime.call(
+            DataHolderServer(name, relation, MaxEntropyTDS(catalog), QIDS, K).start()
+        )
+        for name, relation in (("alice", pair.left), ("bob", pair.right))
+    ]
+    try:
+        result = QueryingPartyClient(
+            rule,
+            *(RemoteParty(server.name, server.host, server.port) for server in servers),
+            allowance=1.0,
+            runtime=runtime,
+        ).run()
+    finally:
+        stop_servers(runtime, *servers)
+    text = repr(result.outcome)
+    assert "..." not in text
+    assert text == repr(expected)
+    assert repr(expected.matched_handles.tolist()) in text
+    assert result.outcome == expected
 
 
 class TestChannelEstimate:
@@ -391,6 +428,62 @@ class TestLiveServerStrictness:
         replies = raw_exchange(alice, [huge])
         assert replies[1]["type"] == "error"
         assert replies[1]["code"] == "bad_frame"
+
+    @pytest.mark.parametrize(
+        "handles",
+        [[[True, 0]], [[0, 1.5]], [[0, "1"]], [[0, -1]], [[0, 1, 2]], [[2**70, 0]]],
+        ids=["bool", "float", "str", "negative", "three-items", "2**70"],
+    )
+    def test_malformed_resolve_handles_answered(self, live_servers, handles):
+        alice, _ = live_servers
+        request = {"type": "resolve", "handles": handles}
+        replies = raw_exchange(
+            alice, [encode_frame(request), encode_frame({"type": "get_view"})]
+        )
+        assert replies[1]["type"] == "error"
+        assert replies[1]["code"] == "bad_frame"
+        # The connection survives the bad frame.
+        assert replies[2]["type"] == "view"
+
+    def test_unknown_resolve_handle_answered(self, live_servers):
+        alice, _ = live_servers
+        request = {"type": "resolve", "handles": [[0, 0], [10**6, 0]]}
+        [_, reply] = raw_exchange(alice, [encode_frame(request)])
+        assert reply["code"] == "protocol"
+        assert "(1000000, 0)" in reply["message"]
+
+    def test_reopening_a_session_with_another_rule_refused(
+        self, live_servers, net_fixture
+    ):
+        alice, bob = live_servers
+        _, rule, __ = net_fixture
+        request = {
+            "type": "smc_open",
+            "session": "rule-change",
+            "rule": encode_rule(rule),
+            "peer": {"party": "bob", "host": bob.host, "port": bob.port},
+        }
+        looser = dict(request, rule=encode_rule(rule.with_thresholds(0.5)))
+        replies = raw_exchange(
+            alice, [encode_frame(request), encode_frame(request), encode_frame(looser)]
+        )
+        assert [reply.get("resumed") for reply in replies[1:3]] == [False, True]
+        assert replies[3]["code"] == "bad_session"
+        assert "different rule" in replies[3]["message"]
+
+    @pytest.mark.parametrize("port", [True, 0], ids=["bool", "zero"])
+    def test_bad_peer_port_answered(self, live_servers, net_fixture, port):
+        alice, _ = live_servers
+        _, rule, __ = net_fixture
+        request = {
+            "type": "smc_open",
+            "session": f"bad-port-{port}",
+            "rule": encode_rule(rule),
+            "peer": {"party": "bob", "host": "127.0.0.1", "port": port},
+        }
+        [_, reply] = raw_exchange(alice, [encode_frame(request)])
+        assert reply["code"] == "bad_frame"
+        assert "peer port" in reply["message"]
 
 
 class TestRemoteSpec:

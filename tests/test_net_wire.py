@@ -30,7 +30,7 @@ from repro.net.wire import (
     decode_class_rows,
     decode_frame_length,
     decode_frame_payload,
-    decode_handle,
+    decode_int_rows,
     decode_lease_matches,
     decode_leases,
     decode_public_key,
@@ -41,7 +41,6 @@ from repro.net.wire import (
     encode_ciphertext,
     encode_frame,
     encode_class_counts,
-    encode_handle,
     encode_lease_matches,
     encode_leases,
     encode_public_key,
@@ -197,11 +196,17 @@ class TestRoundTrips:
         )
     )
     def test_class_counts_round_trip(self, classes):
-        assert decode_class_counts(encode_class_counts(classes)) == classes
+        decoded = decode_class_counts(encode_class_counts(classes))
+        assert decoded.shape == (len(classes), 2)
+        assert decoded.tolist() == [list(pair) for pair in classes]
 
-    @given(handles)
-    def test_handle_round_trip(self, handle):
-        assert decode_handle(encode_handle(handle)) == handle
+    @given(st.lists(handles, max_size=20))
+    def test_handle_round_trip(self, batch):
+        # The client sends one side's distinct handles as an array's rows.
+        wired = np.array(batch, dtype=np.int64).reshape(-1, 2).tolist()
+        decoded = decode_int_rows(json.loads(json.dumps(wired)), "handles")
+        assert decoded.shape == (len(batch), 2)
+        assert [tuple(row) for row in decoded.tolist()] == batch
 
     @given(rules())
     @settings(max_examples=50, deadline=None)
@@ -349,6 +354,9 @@ class TestViewRejection:
             lambda v: v["classes"][0].update(seq=[]),  # arity vs qids
             lambda v: v["classes"].append(dict(v["classes"][0])),  # dup id
             lambda v: v.update(qids="age"),
+            # Handles hold class ids and offsets as int32.
+            lambda v: v["classes"][0].update(id=2**31),
+            lambda v: v["classes"][0].update(size=2**31),
         ],
     )
     def test_malformed_view(self, mutate):
@@ -564,18 +572,63 @@ class TestHandshake:
 
 class TestRequestValidation:
     def test_known_requests(self):
-        assert validate_request({"type": "get_view"}) == "get_view"
-        assert (
-            validate_request(
-                {
-                    "type": "smc_batch",
-                    "session": "s",
-                    "seq": 1,
-                    "leases": [[0, 1, 12]],
-                }
-            )
-            == "smc_batch"
+        assert validate_request({"type": "get_view"}) == ("get_view", {})
+        assert validate_request(
+            {
+                "type": "smc_batch",
+                "session": "s",
+                "seq": 1,
+                "leases": [[0, 1, 12]],
+            }
+        ) == ("smc_batch", {"session": "s", "seq": 1, "leases": [Lease(0, 1, 12)]})
+
+    def test_fields_are_decoded_once(self):
+        kind, fields = validate_request(
+            {"type": "resolve", "handles": [[3, 0], [1, 7]]}
         )
+        assert kind == "resolve"
+        assert fields["handles"].dtype == np.int64
+        assert fields["handles"].tolist() == [[3, 0], [1, 7]]
+        kind, fields = validate_request(
+            {
+                "type": "fetch_records",
+                "names": ["age"],
+                "classes": [[4, 2]],
+            }
+        )
+        assert fields["classes"].tolist() == [[4, 2]]
+        kind, fields = validate_request(open_request(7001))
+        assert fields["peer"] == {"party": "bob", "host": "127.0.0.1", "port": 7001}
+        assert [attribute.name for attribute in fields["rule"]] == ["age"]
+
+    @pytest.mark.parametrize(
+        "handles",
+        [
+            [[True, 0]],            # bool class id
+            [[0, 1.0]],             # float offset
+            [[0, "1"]],             # string offset
+            [[0, -1]],              # negative offset
+            [[0, 1, 2]],            # three items
+            [[2**70, 0]],           # beyond 64 bits
+            [[0, 0], [0]],          # one item
+            [7],                    # not a pair
+            "handles",              # not a list
+        ],
+    )
+    def test_malformed_handles_rejected(self, handles):
+        with pytest.raises(WireError):
+            validate_request({"type": "resolve", "handles": handles})
+
+    @pytest.mark.parametrize("port", [True, 0, 65536, -1, "7001", 7001.0])
+    def test_bad_peer_port_rejected(self, port):
+        with pytest.raises(WireError, match="peer port"):
+            validate_request(open_request(port))
+
+    def test_peer_is_required(self):
+        request = open_request(7001)
+        del request["peer"]
+        with pytest.raises(WireError, match="missing required field 'peer'"):
+            validate_request(request)
 
     def test_unknown_type_rejected(self):
         with pytest.raises(WireError, match="unknown request type"):
@@ -590,6 +643,25 @@ class TestRequestValidation:
             validate_request(
                 {"type": "smc_batch", "session": "s", "seq": 0, "leases": []}
             )
+
+
+def open_request(port) -> dict:
+    """An ``smc_open`` request naming a peer on *port*."""
+    return {
+        "type": "smc_open",
+        "session": "s",
+        "rule": {
+            "attributes": [
+                {
+                    "name": "age",
+                    "kind": "continuous",
+                    "threshold": 0.05,
+                    "effective_threshold": 3.6,
+                }
+            ]
+        },
+        "peer": {"party": "bob", "host": "127.0.0.1", "port": port},
+    }
 
 
 class TestFaultPlan:

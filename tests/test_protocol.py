@@ -1,5 +1,6 @@
 """Tests for the explicit three-party protocol simulation."""
 
+import numpy as np
 import pytest
 
 from repro.anonymize import MaxEntropyTDS
@@ -10,7 +11,15 @@ from repro.linkage.ground_truth import GroundTruth
 from repro.linkage.heuristics import MinAvgFirst
 from repro.linkage.hybrid import HybridLinkage, LinkageConfig
 from repro.linkage.strategies import LearnedClassifier, MaximizeRecall
-from repro.protocol import DataHolder, Lease, QueryingParty, SMCBridge
+from dataclasses import replace
+
+from repro.protocol import (
+    DataHolder,
+    Lease,
+    QueryingParty,
+    SMCBridge,
+    verified_match_handles,
+)
 
 QIDS = ADULT_QID_ORDER[:5]
 
@@ -108,6 +117,82 @@ class TestBridge:
             SMCBridge(alice, toy_holder, adult_rule)
 
 
+class TestHandles:
+    def test_resolve_gathers_every_handle(self, parties):
+        alice, _, left_view, __ = parties
+        handles = [
+            (published.class_id, offset)
+            for published in left_view.classes[:5]
+            for offset in range(published.size)
+        ]
+        indices = alice.resolve(np.array(handles, dtype=np.int32))
+        assert indices.dtype == np.intp
+        assert indices.tolist() == [
+            alice._class_rows(class_id)[offset] for class_id, offset in handles
+        ]
+        # Each record is resolved exactly once across the classes.
+        assert len(set(indices.tolist())) == len(handles)
+        assert alice.resolve([]).shape == (0,)
+
+    def test_resolve_names_the_first_bad_handle(self, parties):
+        alice, _, left_view, __ = parties
+        size = left_view.classes[0].size
+        for bad in ((0, size), (0, -1), (-1, 0), (len(left_view.classes), 0)):
+            with pytest.raises(ProtocolError, match=rf"handle \({bad[0]}, {bad[1]}\)"):
+                alice.resolve([(0, 0), bad, (999_999, 0)])
+        for malformed in ([(0.0, 1.0)], [(0, 1, 2)], [0, 1]):
+            with pytest.raises(ProtocolError, match="handles must be"):
+                alice.resolve(malformed)
+
+    def test_verified_handles_expand_blocked_class_pairs(self, parties, adult_rule):
+        """Blocked-M cross products, row-major, then the SMC matches."""
+        alice, bob, left_view, right_view = parties
+        outcome = QueryingParty(adult_rule, allowance=0.01).link(
+            left_view, right_view, SMCBridge(alice, bob, adult_rule)
+        )
+        # Two class pairs stand in for whatever blocking matched.
+        outcome = replace(outcome, matched_class_pairs=[(3, 1), (0, 2)])
+        handles = verified_match_handles(outcome, left_view, right_view)
+        assert handles.dtype == np.int32
+        expected = [
+            [[left_id, left_offset], [right_id, right_offset]]
+            for left_id, right_id in outcome.matched_class_pairs
+            for left_offset in range(left_view.classes[left_id].size)
+            for right_offset in range(right_view.classes[right_id].size)
+        ]
+        assert handles.tolist() == expected + outcome.matched_handles.tolist()
+
+    def test_class_ids_beyond_int32_refused(self, parties, adult_rule):
+        """Handles hold class ids as int32; a larger id is refused before
+        any lease runs, not wrapped."""
+        alice, bob, left_view, right_view = parties
+        shifted = replace(
+            left_view,
+            classes=tuple(
+                replace(published, class_id=published.class_id + 2**31)
+                for published in left_view.classes
+            ),
+        )
+        bridge = SMCBridge(alice, bob, adult_rule)
+        with pytest.raises(ProtocolError, match="does not fit an int32 handle"):
+            QueryingParty(adult_rule, allowance=0.01).link(shifted, right_view, bridge)
+        assert bridge.invocations == 0
+
+    def test_outcome_equality_compares_every_handle(self, parties, adult_rule):
+        alice, bob, left_view, right_view = parties
+        outcome = QueryingParty(adult_rule, allowance=0.01).link(
+            left_view, right_view, SMCBridge(alice, bob, adult_rule)
+        )
+        assert len(outcome.matched_handles)
+        same = replace(outcome, matched_handles=outcome.matched_handles.copy())
+        assert same == outcome
+        changed = outcome.matched_handles.copy()
+        changed[-1, 1, 1] += 1
+        assert replace(outcome, matched_handles=changed) != outcome
+        assert replace(outcome, leftover_pairs=-1) != outcome
+        assert outcome != "outcome"
+
+
 class TestQueryingParty:
     def test_agrees_with_library_pipeline(
         self, parties, adult_rule, adult_pair, adult_hierarchy_catalog
@@ -178,7 +263,7 @@ class TestQueryingParty:
         assert first.smc_invocations > 0
         assert second.smc_invocations == first.smc_invocations
         assert bridge.invocations == 2 * first.smc_invocations
-        assert second.matched_handles == first.matched_handles
+        assert np.array_equal(second.matched_handles, first.matched_handles)
 
     def test_misbilling_bridge_rejected(self, parties, adult_rule):
         alice, bob, left_view, right_view = parties
