@@ -2,8 +2,9 @@
 
 These are classic pytest-benchmark targets (many rounds, statistics):
 Paillier operations, the slack decision rule, the blocking kernel, the
-ground-truth oracle and the anonymizer's k sweep. They put concrete
-per-operation numbers behind the cost-model discussion in DESIGN.md.
+ground-truth oracle, the counting oracle's lease join and the
+anonymizer's k sweep. They put concrete per-operation numbers behind the
+cost-model discussion in DESIGN.md.
 End-to-end timings of whole linkage runs come from ``e2ebench/run.py``.
 """
 
@@ -81,6 +82,34 @@ class TestLinkageMicro:
         left_record = data.pair.left[0]
         right_record = data.pair.right[0]
         benchmark(oracle.compare, left_record, right_record)
+
+    def test_counting_compare_block(self, benchmark, data):
+        """One counting-oracle call over the leases a library link plans."""
+        from repro import HybridLinkage, LinkageConfig
+        from repro.crypto.smc.oracle import CountingPlaintextOracle
+
+        rule = data.rule()
+        schema = data.pair.left.schema
+        calls = []
+
+        class Recording(CountingPlaintextOracle):
+            def compare_block(self, left, right, leases):
+                calls.append((left, right, leases))
+                return super().compare_block(left, right, leases)
+
+        config = LinkageConfig(
+            rule=rule, allowance=data.config.allowance, oracle_factory=Recording
+        )
+        result = HybridLinkage(config).run(*data.anonymized())
+        [(left, right, leases)] = calls
+
+        def compare_block():
+            return CountingPlaintextOracle(rule, schema).compare_block(
+                left, right, leases
+            )
+
+        matches = benchmark.pedantic(compare_block, rounds=5, iterations=1)
+        assert sum(map(len, matches)) == result.smc_match_count
 
     def test_secure_comparison_1024_bit(self, benchmark, keys):
         from repro.crypto.smc.channel import SMCSession

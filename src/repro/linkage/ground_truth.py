@@ -10,10 +10,12 @@ groups records:
   become a hash key (attributes with ``theta >= 1`` never constrain and are
   ignored); string attributes with ``theta < 1`` likewise (edit distance 0
   is equality);
-- the first continuous attribute is resolved with a sorted-array window
-  count inside each key group (O(n log n) overall);
-- any further continuous attributes, and string attributes with a real
-  edit budget, are verified per candidate.
+- the first continuous attribute narrows each key group to a sorted-array
+  window (O(n log n) overall), widened by a few ulps so rounding in the
+  window's bounds never drops a pair;
+- every continuous attribute, the first included, is then tested exactly
+  as the rule and every oracle test it, ``abs(l - r) <= t``, per
+  candidate, as are string attributes with a real edit budget.
 
 The same machinery also counts matches inside arbitrary index subsets,
 which the hybrid pipeline uses to score SMC-step coverage of a class pair
@@ -22,6 +24,7 @@ without enumerating every record pair.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 
@@ -95,9 +98,7 @@ class GroundTruth:
         primary_threshold = (
             self._window_thresholds[0] if self._window_positions else None
         )
-        extra = list(
-            zip(self._window_positions[1:], self._window_thresholds[1:])
-        )
+        continuous = list(zip(self._window_positions, self._window_thresholds))
         predicates = self._predicates
         for left_index in left_indices:
             record = self.left[left_index]
@@ -108,21 +109,25 @@ class GroundTruth:
                 candidates = entries
             else:
                 value = record[self._window_positions[0]]
-                lo = bisect_left(entries, (value - primary_threshold, -1))
-                hi = bisect_right(
-                    entries, (value + primary_threshold, len(self.right))
+                # ``value ± threshold`` rounds, and so does ``l - r`` in the
+                # exact test below; the margin keeps every pair that test
+                # admits inside the window.
+                reach = primary_threshold + 8 * math.ulp(
+                    abs(value) + primary_threshold
                 )
+                lo = bisect_left(entries, (value - reach, -1))
+                hi = bisect_right(entries, (value + reach, len(self.right)))
                 candidates = entries[lo:hi]
             for _, right_index in candidates:
                 right_record = self.right[right_index]
-                if self._extra_ok(record, right_record, extra) and (
+                if self._continuous_ok(record, right_record, continuous) and (
                     self._predicates_ok(record, right_record, predicates)
                 ):
                     yield left_index, right_index
 
     @staticmethod
-    def _extra_ok(left_record, right_record, extra) -> bool:
-        for position, threshold in extra:
+    def _continuous_ok(left_record, right_record, continuous) -> bool:
+        for position, threshold in continuous:
             if abs(left_record[position] - right_record[position]) > threshold:
                 return False
         return True

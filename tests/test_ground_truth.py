@@ -106,3 +106,36 @@ class TestSubsets:
         assert count_true_matches(adult_rule, left, right) == GroundTruth(
             adult_rule, left, right
         ).total_matches()
+
+
+class TestWindowRounding:
+    """The window agrees with the rule's ``abs(l - r) <= t`` in floating point.
+
+    ``l ± t`` and ``l - r`` round differently, so a pair can sit inside
+    the window while failing the exact test, or pass the test just outside
+    the window; ground truth must follow the test either way.
+    """
+
+    @pytest.mark.parametrize(
+        "domain, theta, left_value, right_value, matches",
+        [
+            # 53.0 - 49.9 rounds above 3.1, but 53.0 - 3.1 rounds to 49.9.
+            ((0, 100), 0.031, 53.0, 49.9, False),
+            # 6.0 - 1.7 rounds to 4.3, but 6.0 - 4.3 rounds above 1.7.
+            ((0, 10), 0.43, 6.0, 1.7, True),
+        ],
+    )
+    def test_boundary_pair(self, domain, theta, left_value, right_value, matches):
+        from repro.data.schema import Attribute, Relation, Schema
+        from repro.data.vgh import IntervalHierarchy
+
+        schema = Schema([Attribute.continuous("x")])
+        rule = MatchRule(
+            [MatchAttribute("x", IntervalHierarchy.from_tree("x", domain), theta)]
+        )
+        left = Relation(schema, [(left_value,)])
+        right = Relation(schema, [(right_value,)])
+        assert rule.bind(schema).matches((left_value,), (right_value,)) is matches
+        truth = GroundTruth(rule, left, right)
+        assert list(truth.iter_matches()) == ([(0, 0)] if matches else [])
+        assert truth.total_matches() == len(brute_force_matches(rule, left, right))

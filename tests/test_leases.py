@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.anonymize import MaxEntropyTDS
+from repro.crypto.smc import oracle as oracle_module
 from repro.crypto.smc.oracle import (
     CountingPlaintextOracle,
     PaillierSMCOracle,
@@ -255,6 +256,203 @@ class _Looping(CountingPlaintextOracle):
     """The counting backend forced onto the base per-pair loop."""
 
     compare_block = SMCOracle.compare_block
+
+
+#: The columns of the relations ``join_inputs`` draws.
+JOIN_ATTRIBUTES = ("city", "sex", "age", "hours")
+
+#: Rule shapes the counting join must handle, as (attribute, threshold)
+#: lists over the ``JOIN_ATTRIBUTES`` columns: only the first two have a
+#: categorical join key, and no attribute constrains the last one at all.
+JOIN_RULES = {
+    "categorical only": [("city", 0.0), ("sex", 0.5)],
+    "categorical and continuous": [("city", 0.0), ("age", 0.1)],
+    "continuous only": [("age", 0.1)],
+    "two continuous": [("age", 0.1), ("hours", 0.2)],
+    "loose categorical": [("city", 1.0), ("age", 0.15)],
+    "no constraining attribute": [("city", 1.0), ("sex", 2.0)],
+}
+
+
+def join_rule(shape):
+    from repro.data.vgh import CategoricalHierarchy, IntervalHierarchy
+    from repro.linkage.distances import MatchAttribute, MatchRule
+
+    hierarchies = {
+        "city": CategoricalHierarchy("city", {"ANY": list(CITIES)}),
+        "sex": CategoricalHierarchy("sex", {"ANY": ["F", "M"]}),
+        "age": IntervalHierarchy.from_tree("age", (0, 20)),
+        "hours": IntervalHierarchy.from_tree("hours", (0, 10)),
+    }
+    return MatchRule(
+        MatchAttribute(name, hierarchies[name], threshold)
+        for name, threshold in JOIN_RULES[shape]
+    )
+
+
+@st.composite
+def join_inputs(draw):
+    """Two relations with few distinct values and several leases over them.
+
+    Leases draw their rows from the same small relations, so they share
+    rows and join keys; takes range from one pair to the whole class pair.
+    """
+
+    def record():
+        return (
+            draw(st.sampled_from(CITIES[:3])),
+            draw(st.sampled_from(["F", "M"])),
+            draw(st.integers(min_value=0, max_value=6)) / 2,
+            draw(st.sampled_from([0.0, 1.5, 1.9, 2.0, 2.1, 3.5])),
+        )
+
+    def rows(count, most):
+        return st.lists(
+            st.integers(0, count - 1), min_size=1, max_size=most, unique=True
+        )
+
+    left_count = draw(st.integers(min_value=1, max_value=9))
+    right_count = draw(st.integers(min_value=1, max_value=9))
+    left = [record() for _ in range(left_count)]
+    right = [record() for _ in range(right_count)]
+    leases = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        left_rows = draw(rows(left_count, 5))
+        right_rows = draw(rows(right_count, 6))
+        pairs = len(left_rows) * len(right_rows)
+        take = draw(st.integers(min_value=1, max_value=pairs))
+        leases.append(BlockLease(np.array(left_rows), np.array(right_rows), take))
+    return left, right, leases
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    join_inputs(),
+    st.sampled_from(sorted(JOIN_RULES)),
+    st.sampled_from(
+        [
+            (oracle_module._GROUP_PAIRS, oracle_module._SLICE_CANDIDATES),
+            (1, 1),
+            (4, 3),
+            (9, 7),
+        ]
+    ),
+)
+def test_join_equals_the_base_loop_over_many_leases(case, shape, bounds):
+    """One call over several leases answers as the per-pair loop does.
+
+    *bounds* shrinks the join's lease groups and candidate slices, so the
+    small drawn leases also cross group and slice boundaries.
+    """
+    from unittest import mock
+
+    from repro.data.schema import Attribute, Schema
+
+    left_values, right_values, leases = case
+    schema = Schema(
+        [
+            Attribute.categorical("city"),
+            Attribute.categorical("sex"),
+            Attribute.continuous("age"),
+            Attribute.continuous("hours"),
+        ]
+    )
+    rule = join_rule(shape)
+    left = RecordColumns.from_rows(schema, JOIN_ATTRIBUTES, left_values)
+    right = RecordColumns.from_rows(schema, JOIN_ATTRIBUTES, right_values)
+    looped = _Looping(rule, schema)
+    expected = per_lease(looped.compare_block(left, right, leases))
+    group_pairs, slice_candidates = bounds
+    with mock.patch.multiple(
+        oracle_module,
+        _GROUP_PAIRS=group_pairs,
+        _SLICE_CANDIDATES=slice_candidates,
+    ):
+        joined = CountingPlaintextOracle(rule, schema)
+        assert per_lease(joined.compare_block(left, right, leases)) == expected
+    assert joined.invocations == looped.invocations
+    assert joined.attribute_comparisons == looped.attribute_comparisons
+    if shape == "no constraining attribute":
+        assert sum(map(len, expected)) == looped.invocations
+
+
+@pytest.mark.parametrize("oracle_class", [CountingPlaintextOracle, _Looping])
+def test_empty_lease_list(oracle_class, adult_rule, adult_sides):
+    _, __, left_columns, right_columns = adult_sides
+    oracle = oracle_class(adult_rule, adult_schema())
+    assert oracle.compare_block(left_columns, right_columns, []) == []
+    assert oracle.invocations == oracle.attribute_comparisons == 0
+
+
+def test_join_key_of_many_wide_vocabularies():
+    """Five categorical columns whose code ranges multiply past 2**64.
+
+    Each side holds 4,096 distinct values per column, so the shared
+    vocabularies have 8,192 = 2**13 codes each and a plain mixed-radix key
+    would need 65 bits. Right row 0 agrees with left row 0 on four columns
+    and holds a right-only value (shared code 4,096) in the first; its
+    mixed-radix key exceeds left row 0's by exactly 4,096 * 2**52 = 2**64,
+    so an int64 key that wrapped would report the pair as a match.
+    """
+    from repro.data.hierarchies import toy_education_vgh
+    from repro.data.schema import Attribute, Schema
+    from repro.linkage.distances import MatchAttribute, MatchRule
+
+    names = [f"c{column}" for column in range(5)]
+    schema = Schema([Attribute.categorical(name) for name in names])
+    rule = MatchRule(MatchAttribute(name, toy_education_vgh(), 0.0) for name in names)
+    count = 4_096
+
+    def values(side, row):
+        return tuple(f"{side}{column}-{row}" for column in range(5))
+
+    left_rows = [values("L", row) for row in range(count)]
+    right_rows = [values("R", row) for row in range(count)]
+    right_rows[0] = ("R0-0",) + left_rows[0][1:]
+    right_rows[1] = left_rows[1]
+    left = RecordColumns.from_rows(schema, names, left_rows)
+    right = RecordColumns.from_rows(schema, names, right_rows)
+    leases = [BlockLease(np.arange(64), np.arange(64), 64 * 64)]
+    joined = CountingPlaintextOracle(rule, schema).compare_block(left, right, leases)
+    looped = _Looping(rule, schema).compare_block(left, right, leases)
+    assert per_lease(joined) == per_lease(looped) == [[(1, 1)]]
+
+
+def test_join_memory_is_bounded_without_a_categorical_key():
+    """A continuous-only rule on one 2,000 x 2,000 lease with few matches.
+
+    Every leased pair is a join candidate, but the join expands them a
+    bounded slice at a time: peak traced allocation stays under 2 MB, where
+    one dense float matrix of the lease alone would take 32 MB.
+    """
+    import tracemalloc
+
+    from repro.data.schema import Attribute, Schema
+    from repro.data.vgh import IntervalHierarchy
+    from repro.linkage.distances import MatchAttribute, MatchRule
+
+    schema = Schema([Attribute.continuous("x")])
+    rule = MatchRule(
+        [MatchAttribute("x", IntervalHierarchy.from_tree("x", (0, 20_000)), 1e-5)]
+    )
+    size = 2_000
+    left_values = np.arange(size) * 10.0
+    right_values = left_values + np.where(np.arange(size) % 100 == 0, 0.1, 5.0)
+    left = RecordColumns(["x"], [left_values], [None])
+    right = RecordColumns(["x"], [right_values], [None])
+    lease = BlockLease(np.arange(size), np.arange(size), size * size)
+    oracle = CountingPlaintextOracle(rule, schema)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        baseline = tracemalloc.get_traced_memory()[0]
+        [matches] = oracle.compare_block(left, right, [lease])
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    assert offsets_of(matches) == [(row, row) for row in range(0, size, 100)]
+    assert oracle.invocations == size * size
+    assert peak < 2 * 2**20, f"compare_block peaked at {peak / 2**20:.1f} MB"
 
 
 def test_paillier_matches_counting_on_the_same_leases(adult_rule, adult_sides):
