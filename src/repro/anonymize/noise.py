@@ -29,6 +29,8 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro._rng import make_random
 from repro.data.schema import Relation
 from repro.data.vgh import IntervalHierarchy
@@ -136,19 +138,12 @@ def noisy_linkage_baseline(
     names = list(rule.names)
     noisy_left = sanitizer.perturb(left, names, rng)
     noisy_right = sanitizer.perturb(right, names, rng)
-    truth = GroundTruth(rule, left, right)
-    claimed_truth = GroundTruth(rule, noisy_left, noisy_right)
-    claimed_pairs = 0
-    claimed_true = 0
-    true_matches = set(truth.iter_matches())
-    for pair in claimed_truth.iter_matches():
-        claimed_pairs += 1
-        if pair in true_matches:
-            claimed_true += 1
+    true_matches = GroundTruth(rule, left, right).match_codes()
+    claimed = GroundTruth(rule, noisy_left, noisy_right).match_codes()
     evaluation = Evaluation(
         true_matches=len(true_matches),
         verified_matches=0,
-        claimed_pairs=claimed_pairs,
-        claimed_true_matches=claimed_true,
+        claimed_pairs=len(claimed),
+        claimed_true_matches=int(np.isin(claimed, true_matches).sum()),
     )
     return NoisyLinkageOutcome(noise_level=noise_level, evaluation=evaluation)

@@ -33,8 +33,7 @@ def _recall(data: ExperimentData, result, theta=None, qid_count=None) -> float:
     With the maximize-precision strategy nothing unverified is claimed, so
     recall needs no per-class ground-truth pricing — just the totals.
     """
-    truth = data.ground_truth(theta, qid_count)
-    total = truth.total_matches()
+    total = data.ground_truth(theta, qid_count).total_matches()
     if total == 0:
         return 1.0
     return result.verified_match_pairs / total
@@ -526,7 +525,6 @@ def baselines(data: ExperimentData | None = None) -> ExperimentTable:
         pure_sanitization_linkage,
         pure_smc_linkage,
     )
-    from repro.linkage.ground_truth import GroundTruth
     from repro.linkage.secure_blocking import secure_token_blocking
 
     data = data or ExperimentData()
@@ -539,9 +537,7 @@ def baselines(data: ExperimentData | None = None) -> ExperimentTable:
     tokens = secure_token_blocking(
         rule, data.pair.left, data.pair.right, rng=data.config.seed
     )
-    total_true = GroundTruth(
-        rule, data.pair.left, data.pair.right
-    ).total_matches()
+    total_true = data.ground_truth().total_matches()
     token_recall = (
         len(tokens.matched_pairs) / total_true if total_true else 1.0
     )

@@ -178,7 +178,7 @@ class CountingPlaintextOracle(SMCOracle):
     instead of touching every leased pair: only pairs that agree on every
     constraining categorical attribute are ever formed, and its
     temporaries stay bounded whatever the rule (see :data:`_GROUP_PAIRS`
-    and :data:`_SLICE_CANDIDATES`).
+    and :data:`_SLICE_CANDIDATES`); it answers ground-truth queries too.
     """
 
     def __init__(
@@ -197,9 +197,6 @@ class CountingPlaintextOracle(SMCOracle):
             or attribute.threshold < 1
         )
         self._projected = rule.bind(schema.project(rule.names))
-        self._scalar = any(
-            attribute.is_string and attribute.threshold >= 1 for attribute in rule
-        )
         #: (left, right, join columns) of the last column pair compared, so
         #: one-lease-at-a-time callers build the join keys only once.
         self._aligned: tuple | None = None
@@ -211,19 +208,17 @@ class CountingPlaintextOracle(SMCOracle):
     def compare_block(self, left, right, leases):
         """Row-major lease comparison as one sort-join per call.
 
-        Rules containing an edit-distance attribute with a real budget
-        fall back to the scalar loop (edit distance does not vectorize).
-        Otherwise each record carries one integer join key fusing its
-        constraining categorical codes; per group of leases the touched
-        right rows are sorted by ``(lease, key)``, each touched left row
-        finds its equal-key run with ``searchsorted``, and only those
-        candidate pairs are expanded and tested ``abs(l - r) <= t`` on
-        every continuous attribute. The answers, their row-major order and
-        the billing (``take`` invocations per lease) are those of the
-        scalar loop.
+        Each record carries one integer join key fusing its constraining
+        categorical codes; per group of leases the touched right rows are
+        sorted by ``(lease, key)``, each touched left row finds its
+        equal-key run with ``searchsorted``, and only those candidate pairs
+        are expanded and tested ``abs(l - r) <= t`` on every continuous
+        attribute. String attributes with an edit budget filter the
+        survivors last, each distinct pair of values tested once
+        (:func:`_edit_budget`). The answers, their row-major order and the
+        billing (``take`` invocations per lease) are those of the scalar
+        loop.
         """
-        if self._scalar:
-            return super().compare_block(left, right, leases)
         check_leases(leases)
         join = self._lease_columns(left, right)
         results: list[np.ndarray] = []
@@ -243,7 +238,7 @@ class CountingPlaintextOracle(SMCOracle):
         return results
 
     def _lease_columns(self, left: RecordColumns, right: RecordColumns) -> "_Join":
-        """The join key and continuous columns of one column pair.
+        """The join key, continuous columns and edit budgets of one column pair.
 
         Categorical codes are first put in one vocabulary covering both
         sides; loose Hamming thresholds (>= 1) never constrain and are
@@ -256,6 +251,7 @@ class CountingPlaintextOracle(SMCOracle):
         right_positions = right.positions(self.rule.names)
         continuous = []
         categorical = []
+        edits = []
         for attribute, left_position, right_position in zip(
             self.rule, left_positions, right_positions
         ):
@@ -275,6 +271,10 @@ class CountingPlaintextOracle(SMCOracle):
                         attribute.effective_threshold,
                     )
                 )
+            elif attribute.is_string and attribute.threshold >= 1:
+                edits.append(
+                    _edit_budget(attribute, left, right, left_position, right_position)
+                )
             elif attribute.threshold < 1:
                 left_codes, right_codes = shared_codes(
                     left, right, left_position, right_position
@@ -286,7 +286,7 @@ class CountingPlaintextOracle(SMCOracle):
         left_key, right_key, span = _join_keys(
             categorical, len(left.arrays[0]), len(right.arrays[0])
         )
-        join = _Join(continuous, left_key, right_key, span)
+        join = _Join(continuous, edits, left_key, right_key, span)
         self._aligned = (left, right, join)
         return join
 
@@ -314,11 +314,36 @@ class _Join(NamedTuple):
 
     #: ``(left column, right column, threshold)`` per continuous attribute.
     continuous: list
+    #: One :func:`_edit_budget` filter per string attribute with an edit budget.
+    edits: list
     #: Per record, its constraining categorical codes fused into one key
     #: in ``0..span - 1``; equal keys mean equal codes on every attribute.
     left_key: np.ndarray
     right_key: np.ndarray
     span: int
+
+
+def _edit_budget(attribute, left, right, left_position, right_position):
+    """A string attribute with an edit budget, as a filter on join pairs.
+
+    Edit distance does not vectorize, but depends only on the two values:
+    the returned ``within(left rows, right rows)`` tests each distinct
+    ``(left code, right code)`` among the pairs once.
+    """
+    left_codes, right_codes = left.arrays[left_position], right.arrays[right_position]
+    left_values = left.vocabularies[left_position]
+    right_values = right.vocabularies[right_position]
+
+    def within(left_rows: np.ndarray, right_rows: np.ndarray) -> np.ndarray:
+        codes = np.stack((left_codes[left_rows], right_codes[right_rows]), axis=1)
+        distinct, inverse = np.unique(codes, axis=0, return_inverse=True)
+        verdicts = [
+            attribute.within_threshold(left_values[left_code], right_values[right_code])
+            for left_code, right_code in distinct.tolist()
+        ]
+        return np.array(verdicts, dtype=bool)[inverse.reshape(-1)]
+
+    return within
 
 
 def _join_keys(
@@ -445,6 +470,9 @@ def _join_group(join: _Join, leases: Sequence[BlockLease]) -> list[np.ndarray]:
             kept = np.flatnonzero(keep)
             candidate_rows = candidate_rows[kept]
             positions = positions[kept]
+        for within in join.edits:
+            keep = within(left_rows[candidate_rows], right_rows[positions])
+            candidate_rows, positions = candidate_rows[keep], positions[keep]
         matched_rows.append(candidate_rows)
         matched_positions.append(positions)
         start = stop

@@ -82,27 +82,24 @@ def pure_sanitization_linkage(
     """
     blocking = block(rule, left, right)
     ground_truth = GroundTruth(rule, left.source, right.source)
-    verified = blocking.matched_pairs
-    claimed_pairs = 0
-    claimed_true = 0
     left_positions = [left.qids.index(name) for name in rule.names]
     right_positions = [right.qids.index(name) for name in rule.names]
-    for i, j in blocking.unknown.tolist():
-        left_class, right_class = left.classes[i], right.classes[j]
-        guessed_match = _representatives_match(
-            rule, left_class, right_class, left_positions, right_positions
+    claimed = [
+        (i, j)
+        for i, j in blocking.unknown.tolist()
+        if _representatives_match(
+            rule, left.classes[i], right.classes[j], left_positions, right_positions
         )
-        if not guessed_match:
-            continue
-        claimed_pairs += left_class.size * right_class.size
-        claimed_true += ground_truth.count_matches(
-            left_class.indices, right_class.indices
-        )
+    ]
     evaluation = Evaluation(
         true_matches=ground_truth.total_matches(),
-        verified_matches=verified,
-        claimed_pairs=claimed_pairs,
-        claimed_true_matches=claimed_true,
+        verified_matches=blocking.matched_pairs,
+        claimed_pairs=sum(
+            left.classes[i].size * right.classes[j].size for i, j in claimed
+        ),
+        claimed_true_matches=ground_truth.count_block_matches(
+            (left.class_rows.of(i), right.class_rows.of(j)) for i, j in claimed
+        ),
     )
     return BaselineOutcome(
         name="pure-sanitization",

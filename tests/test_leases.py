@@ -259,11 +259,13 @@ class _Looping(CountingPlaintextOracle):
 
 
 #: The columns of the relations ``join_inputs`` draws.
-JOIN_ATTRIBUTES = ("city", "sex", "age", "hours")
+JOIN_ATTRIBUTES = ("city", "sex", "age", "hours", "name")
 
 #: Rule shapes the counting join must handle, as (attribute, threshold)
-#: lists over the ``JOIN_ATTRIBUTES`` columns: only the first two have a
-#: categorical join key, and no attribute constrains the last one at all.
+#: lists over the ``JOIN_ATTRIBUTES`` columns: only the first two and the
+#: exact name have a categorical join key, no attribute constrains the
+#: sixth one at all, and ``name`` with a threshold of 1 or more is an edit
+#: budget.
 JOIN_RULES = {
     "categorical only": [("city", 0.0), ("sex", 0.5)],
     "categorical and continuous": [("city", 0.0), ("age", 0.1)],
@@ -271,10 +273,18 @@ JOIN_RULES = {
     "two continuous": [("age", 0.1), ("hours", 0.2)],
     "loose categorical": [("city", 1.0), ("age", 0.15)],
     "no constraining attribute": [("city", 1.0), ("sex", 2.0)],
+    "exact string": [("name", 0.0), ("age", 0.1)],
+    "edit budget": [("sex", 0.0), ("name", 1.0), ("age", 0.15)],
+    "edit budget only": [("name", 2.0)],
 }
+
+#: Names whose edit distances span 0 to 4 (``ann``/``anne`` 1, ``jon``/
+#: ``joan`` 1, ``john``/``joan`` 2, ``ann``/``jon`` 2, ``anne``/``jon`` 3).
+NAMES = ("ann", "anne", "jon", "john", "joan", "")
 
 
 def join_rule(shape):
+    from repro.data.strings import PrefixHierarchy
     from repro.data.vgh import CategoricalHierarchy, IntervalHierarchy
     from repro.linkage.distances import MatchAttribute, MatchRule
 
@@ -283,6 +293,7 @@ def join_rule(shape):
         "sex": CategoricalHierarchy("sex", {"ANY": ["F", "M"]}),
         "age": IntervalHierarchy.from_tree("age", (0, 20)),
         "hours": IntervalHierarchy.from_tree("hours", (0, 10)),
+        "name": PrefixHierarchy("name", max_length=6),
     }
     return MatchRule(
         MatchAttribute(name, hierarchies[name], threshold)
@@ -304,6 +315,7 @@ def join_inputs(draw):
             draw(st.sampled_from(["F", "M"])),
             draw(st.integers(min_value=0, max_value=6)) / 2,
             draw(st.sampled_from([0.0, 1.5, 1.9, 2.0, 2.1, 3.5])),
+            draw(st.sampled_from(NAMES)),
         )
 
     def rows(count, most):
@@ -355,6 +367,7 @@ def test_join_equals_the_base_loop_over_many_leases(case, shape, bounds):
             Attribute.categorical("sex"),
             Attribute.continuous("age"),
             Attribute.continuous("hours"),
+            Attribute.categorical("name"),
         ]
     )
     rule = join_rule(shape)
