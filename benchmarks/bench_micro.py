@@ -2,7 +2,8 @@
 
 These are classic pytest-benchmark targets (many rounds, statistics):
 Paillier operations, the slack decision rule, the blocking kernel, the
-ground-truth oracle, the counting oracle's lease join and the
+code tables' verdict and expected-distance matrices, the ground-truth
+oracle, the counting oracle's lease join and the
 anonymizer's k sweep. They put concrete per-operation numbers behind the
 cost-model discussion in DESIGN.md.
 End-to-end timings of whole linkage runs come from ``e2ebench/run.py``.
@@ -60,6 +61,24 @@ class TestLinkageMicro:
             block, args=(rule, left, right), rounds=3, iterations=1
         )
         assert result.total_pairs == data.pair.total_pairs
+
+    def test_code_tables(self, benchmark, data):
+        """Every verdict and expected-distance matrix of the anonymized
+        pair, built from fresh code tables as each link builds them."""
+        from repro.linkage.codes import CodeTables
+
+        rule = data.rule()
+        left, right = data.anonymized()
+
+        def build():
+            tables = CodeTables(rule, left, right)
+            return [
+                (tables.verdict_matrix(position), tables.expected_matrix(position))
+                for position in range(len(rule))
+            ]
+
+        matrices = benchmark(build)
+        assert len(matrices) == len(rule)
 
     def test_ground_truth_oracle(self, benchmark, data):
         from repro.linkage.ground_truth import GroundTruth

@@ -420,7 +420,11 @@ def ablation_strategies(data: ExperimentData | None = None) -> ExperimentTable:
         )
         result = _run(data, strategy=strategy, heuristic=heuristic)
         evaluation = evaluate(
-            result, data.rule(), data.pair.left, data.pair.right
+            result,
+            data.rule(),
+            data.pair.left,
+            data.pair.right,
+            data.ground_truth(),
         )
         rows.append(
             (
@@ -530,14 +534,15 @@ def baselines(data: ExperimentData | None = None) -> ExperimentTable:
     data = data or ExperimentData()
     rule = data.rule()
     left, right = data.anonymized()
+    truth = data.ground_truth()
     hybrid = _run(data)
-    hybrid_eval = evaluate(hybrid, rule, data.pair.left, data.pair.right)
-    smc = pure_smc_linkage(rule, data.pair.left, data.pair.right)
-    sanitized = pure_sanitization_linkage(rule, left, right)
+    hybrid_eval = evaluate(hybrid, rule, data.pair.left, data.pair.right, truth)
+    smc = pure_smc_linkage(rule, data.pair.left, data.pair.right, truth)
+    sanitized = pure_sanitization_linkage(rule, left, right, truth)
     tokens = secure_token_blocking(
         rule, data.pair.left, data.pair.right, rng=data.config.seed
     )
-    total_true = data.ground_truth().total_matches()
+    total_true = truth.total_matches()
     token_recall = (
         len(tokens.matched_pairs) / total_true if total_true else 1.0
     )

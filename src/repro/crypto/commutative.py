@@ -101,8 +101,27 @@ def private_equality_join(
     Each side encrypts its (hashed) values under its own key, exchanges
     them, encrypts the other side's ciphertexts again, and intersects the
     doubly-encrypted multisets. Returns matching ``(left_index,
-    right_index)`` pairs. Both sides learn only the intersection (plus set
-    sizes) — the protocol's stated guarantee in [15].
+    right_index)`` pairs, left index ascending, then right. Both sides
+    learn only the intersection (plus set sizes) — the protocol's stated
+    guarantee in [15].
+    """
+    groups = private_equality_groups(left_values, right_values, prime, rng)
+    rights_of = {left: rights for lefts, rights in groups for left in lefts}
+    return [(left, right) for left in sorted(rights_of) for right in rights_of[left]]
+
+
+def private_equality_groups(
+    left_values,
+    right_values,
+    prime: int,
+    rng: random.Random | None = None,
+) -> list[tuple[list[int], list[int]]]:
+    """:func:`private_equality_join`'s matches, grouped by shared value.
+
+    One ``(left indices, right indices)`` pair per doubly-encrypted value
+    both sides hold, each list ascending and the groups in order of their
+    first left index: every left index of a group matches every right
+    index of it, so the groups are the join without its cross products.
     """
     if rng is None:
         rng = random.SystemRandom()
@@ -115,8 +134,8 @@ def private_equality_join(
     right_lookup: dict[int, list[int]] = {}
     for right_index, element in enumerate(twice_right):
         right_lookup.setdefault(element, []).append(right_index)
-    matches = []
+    left_lookup: dict[int, list[int]] = {}
     for left_index, element in enumerate(twice_left):
-        for right_index in right_lookup.get(element, ()):
-            matches.append((left_index, right_index))
-    return matches
+        if element in right_lookup:
+            left_lookup.setdefault(element, []).append(left_index)
+    return [(lefts, right_lookup[element]) for element, lefts in left_lookup.items()]

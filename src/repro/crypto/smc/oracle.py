@@ -40,9 +40,9 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.linkage.columns import (
     OFFSET_DTYPE,
     BlockLease,
+    LeaseBatch,
     RecordColumns,
     check_leases,
-    lease_shape,
     offset_pairs,
     shared_codes,
 )
@@ -113,7 +113,7 @@ class SMCOracle(abc.ABC):
         self,
         left: RecordColumns,
         right: RecordColumns,
-        leases: Sequence[BlockLease],
+        leases: Sequence[BlockLease] | LeaseBatch,
     ) -> list[np.ndarray]:
         """Compare the first ``take`` pairs of each lease in row-major order.
 
@@ -129,13 +129,13 @@ class SMCOracle(abc.ABC):
         model is unaffected. A take outside ``1..`` the class pair's size
         raises :class:`ProtocolError` before any pair is compared.
         """
-        check_leases(leases)
+        leases = LeaseBatch.of(leases)
+        shapes = np.stack(check_leases(leases), axis=1).tolist()
         left_positions = left.positions(self.rule.names)
         right_positions = right.positions(self.rule.names)
         left_rows: dict[int, object] = {}
         results = []
-        for lease in leases:
-            rows, columns, remainder = lease_shape(lease)
+        for lease, (rows, columns, remainder) in zip(leases, shapes):
             right_values = [
                 right.values(row, right_positions)
                 for row in lease.right_rows[:columns]
@@ -219,22 +219,24 @@ class CountingPlaintextOracle(SMCOracle):
         billing (``take`` invocations per lease) are those of the scalar
         loop.
         """
-        check_leases(leases)
+        leases = LeaseBatch.of(leases)
+        shapes = check_leases(leases)
         join = self._lease_columns(left, right)
         results: list[np.ndarray] = []
-        group: list[BlockLease] = []
-        pairs = 0
-        for lease in leases:
-            group.append(lease)
-            pairs += lease.take
-            if pairs >= _GROUP_PAIRS:
-                results += _join_group(join, group)
-                group, pairs = [], 0
-        if group:
-            results += _join_group(join, group)
-        takes = sum(lease.take for lease in leases)
-        self.invocations += takes
-        self.attribute_comparisons += takes * self._billable
+        takes = leases.takes
+        ends = np.cumsum(takes)
+        start = 0
+        while start < len(leases):
+            # A group ends with the lease whose take reaches _GROUP_PAIRS.
+            base = ends[start] - takes[start]
+            stop = int(np.searchsorted(ends, base + _GROUP_PAIRS)) + 1
+            results += _join_group(
+                join, leases[start:stop], *(shape[start:stop] for shape in shapes)
+            )
+            start = stop
+        billed = int(ends[-1]) if len(ends) else 0
+        self.invocations += billed
+        self.attribute_comparisons += billed * self._billable
         return results
 
     def _lease_columns(self, left: RecordColumns, right: RecordColumns) -> "_Join":
@@ -398,18 +400,21 @@ def _within(counts: np.ndarray) -> np.ndarray:
     )
 
 
-def _join_group(join: _Join, leases: Sequence[BlockLease]) -> list[np.ndarray]:
-    """The matching offsets of each of *leases*, found by one sort-join."""
-    shapes = np.array([lease_shape(lease) for lease in leases], dtype=np.intp)
-    rows, widths, remainders = shapes.T
-    left_rows = np.concatenate(
-        [lease.left_rows[:count] for lease, count in zip(leases, rows.tolist())]
-    )
-    right_rows = np.concatenate(
-        [lease.right_rows[:count] for lease, count in zip(leases, widths.tolist())]
-    )
+def _join_group(
+    join: _Join,
+    leases: LeaseBatch,
+    rows: np.ndarray,
+    widths: np.ndarray,
+    remainders: np.ndarray,
+) -> list[np.ndarray]:
+    """The matching offsets of each of *leases*, found by one sort-join;
+    *rows*, *widths* and *remainders* are their :func:`check_leases` shapes."""
     left_offsets = _within(rows)
     right_offsets = _within(widths)
+    left_rows = leases.left_rows[np.repeat(leases.left_starts, rows) + left_offsets]
+    right_rows = leases.right_rows[
+        np.repeat(leases.right_starts, widths) + right_offsets
+    ]
     # Sort the right rows by (lease, key). The sort is stable, so within
     # one equal-key run the right offsets ascend, and every left row's
     # candidates come out in row-major order.

@@ -24,7 +24,7 @@ from repro.data.schema import Relation
 from repro.data.vgh import CategoricalHierarchy
 from repro.linkage.blocking import block
 from repro.linkage.distances import MatchRule
-from repro.linkage.ground_truth import GroundTruth
+from repro.linkage.ground_truth import GroundTruth, ground_truth_for
 from repro.linkage.metrics import Evaluation
 from repro.linkage.slack import as_interval
 
@@ -46,14 +46,19 @@ class BaselineOutcome:
 
 
 def pure_smc_linkage(
-    rule: MatchRule, left: Relation, right: Relation
+    rule: MatchRule,
+    left: Relation,
+    right: Relation,
+    ground_truth: GroundTruth | None = None,
 ) -> BaselineOutcome:
     """The cryptographic baseline: SMC over the full cross product.
 
     Exact by construction, so the evaluation is computed analytically (all
     true matches verified) while the invoice charges every pair.
+    *ground_truth* may pass one already built for *rule*, *left* and
+    *right*.
     """
-    true_matches = GroundTruth(rule, left, right).total_matches()
+    true_matches = ground_truth_for(rule, left, right, ground_truth).total_matches()
     evaluation = Evaluation(
         true_matches=true_matches,
         verified_matches=true_matches,
@@ -71,6 +76,7 @@ def pure_sanitization_linkage(
     rule: MatchRule,
     left: GeneralizedRelation,
     right: GeneralizedRelation,
+    ground_truth: GroundTruth | None = None,
 ) -> BaselineOutcome:
     """The sanitization baseline: label every pair from anonymized data.
 
@@ -78,10 +84,11 @@ def pure_sanitization_linkage(
     pairs are guessed by comparing representatives: interval midpoints for
     continuous attributes, node equality for categorical ones. Guessed
     matches can be false positives — this is the accuracy the paper's
-    hybrid method recovers.
+    hybrid method recovers. *ground_truth* may pass one already built for
+    *rule* over the two sources.
     """
     blocking = block(rule, left, right)
-    ground_truth = GroundTruth(rule, left.source, right.source)
+    ground_truth = ground_truth_for(rule, left.source, right.source, ground_truth)
     left_positions = [left.qids.index(name) for name in rule.names]
     right_positions = [right.qids.index(name) for name in rule.names]
     claimed = [

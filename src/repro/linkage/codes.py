@@ -16,11 +16,22 @@ consumers need different ones:
   — drives the selection heuristics and the learned leftover classifier.
 
 Matrix sizes are ``|distinct left values| x |distinct right values|`` per
-attribute, which is tiny next to the number of class pairs. Every entry
-comes from the scalar :func:`~repro.linkage.slack.attribute_slack` /
-:func:`~repro.linkage.expected.normalized_expected_distance` rules (or a
-broadcast that reproduces them bit for bit), so each decision and score
-equals the per-pair scalar computation.
+attribute, which is tiny next to the number of class pairs. No table is
+filled one value pair at a time, except for prefix (string) patterns:
+
+- continuous ``V_a`` and ``E_a`` are broadcasts over the distinct values'
+  ``lo``/``hi`` arrays;
+- categorical ``V_a`` and ``E_a`` both come from the two sides' value ×
+  leaf membership matrices (:func:`~repro.linkage.expected.leaf_membership`,
+  built once per attribute): their product counts each pair's shared
+  leaves and their row sums are the set sizes, so disjoint sets have
+  overlap 0 and a certain match is the same singleton on both sides.
+
+Each entry equals what the scalar
+:func:`~repro.linkage.slack.attribute_slack` /
+:func:`~repro.linkage.expected.normalized_expected_distance` rules give
+for that pair, bit for bit, so each decision and score equals the
+per-pair scalar computation.
 """
 
 from __future__ import annotations
@@ -30,9 +41,10 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.anonymize.base import EquivalenceClass, GeneralizedRelation
+from repro.data.vgh import CategoricalHierarchy
 from repro.linkage.distances import MatchRule
-from repro.linkage.expected import pairwise_expected_distances
-from repro.linkage.slack import as_interval, attribute_slack
+from repro.linkage.expected import leaf_membership, pairwise_expected_distances
+from repro.linkage.slack import attribute_slack, interval_bounds
 
 
 def _continuous_verdicts(
@@ -45,12 +57,8 @@ def _continuous_verdicts(
     value grid. All arithmetic is float64 subtraction/maximum, so every
     entry is bit-identical to the scalar :func:`continuous_slack` path.
     """
-    left_intervals = [as_interval(value) for value in left_values]
-    right_intervals = [as_interval(value) for value in right_values]
-    l_lo = np.array([i.lo for i in left_intervals], dtype=np.float64)[:, None]
-    l_hi = np.array([i.hi for i in left_intervals], dtype=np.float64)[:, None]
-    r_lo = np.array([i.lo for i in right_intervals], dtype=np.float64)[None, :]
-    r_hi = np.array([i.hi for i in right_intervals], dtype=np.float64)[None, :]
+    l_lo, l_hi = (bound[:, None] for bound in interval_bounds(left_values))
+    r_lo, r_hi = (bound[None, :] for bound in interval_bounds(right_values))
     l_point = l_lo == l_hi
     r_point = r_lo == r_hi
     lo = np.maximum(l_lo, r_lo)
@@ -71,6 +79,32 @@ def _continuous_verdicts(
         overlap, 0.0, np.maximum(np.maximum(l_lo - r_hi, r_lo - l_hi), 0.0)
     )
     supremum = np.maximum(np.maximum(l_hi - r_lo, r_hi - l_lo), 0.0)
+    return _verdicts(infimum, supremum, threshold)
+
+
+def _categorical_verdicts(
+    left_membership: np.ndarray, right_membership: np.ndarray, threshold: float
+) -> np.ndarray:
+    """Verdict matrix of a VGH attribute from its leaf membership matrices.
+
+    :func:`~repro.linkage.slack.categorical_slack` per pair: ``(1, 1)``
+    for disjoint specialization sets, ``(0, 0)`` for the same singleton,
+    ``(0, 1)`` otherwise.
+    """
+    overlap = left_membership @ right_membership.T
+    singleton = np.multiply.outer(
+        left_membership.sum(axis=1) == 1, right_membership.sum(axis=1) == 1
+    )
+    infimum = np.where(overlap == 0, 1.0, 0.0)
+    supremum = np.where(singleton & (overlap == 1), 0.0, 1.0)
+    return _verdicts(infimum, supremum, threshold)
+
+
+def _verdicts(
+    infimum: np.ndarray, supremum: np.ndarray, threshold: float
+) -> np.ndarray:
+    """The slack rule per entry: 1 when ``infimum > threshold``, else 2
+    when ``supremum <= threshold``, else 0."""
     verdicts = np.where(
         infimum > threshold, 1, np.where(supremum <= threshold, 2, 0)
     )
@@ -86,17 +120,15 @@ def _encode_column(
     the list of distinct generalized values at sequence *position*.
     """
     mapping: dict = {}
-    codes = np.empty(len(classes), dtype=np.intp)
-    values: list = []
-    for index, eq_class in enumerate(classes):
-        value = eq_class.sequence[position]
-        code = mapping.get(value)
-        if code is None:
-            code = len(values)
-            mapping[value] = code
-            values.append(value)
-        codes[index] = code
-    return codes, values
+    codes = np.fromiter(
+        (
+            mapping.setdefault(eq_class.sequence[position], len(mapping))
+            for eq_class in classes
+        ),
+        dtype=np.intp,
+        count=len(classes),
+    )
+    return codes, list(mapping)
 
 
 def _class_ids(classes: Sequence) -> np.ndarray:
@@ -160,6 +192,23 @@ class CodeTables:
         self.right_ids = _class_ids(right.classes)
         self._verdicts: list[np.ndarray | None] = [None] * len(rule)
         self._expected: list[np.ndarray | None] = [None] * len(rule)
+        self._memberships: list[tuple[np.ndarray, np.ndarray] | None] = [
+            None
+        ] * len(rule)
+
+    def _leaf_memberships(self, attr_position: int):
+        """Both sides' leaf membership matrices of a VGH attribute, or
+        ``None`` for any other attribute (continuous or prefix)."""
+        hierarchy = self.rule.attributes[attr_position].hierarchy
+        if not isinstance(hierarchy, CategoricalHierarchy):
+            return None
+        memberships = self._memberships[attr_position]
+        if memberships is None:
+            memberships = self._memberships[attr_position] = (
+                leaf_membership(hierarchy, self._left_values[attr_position]),
+                leaf_membership(hierarchy, self._right_values[attr_position]),
+            )
+        return memberships
 
     def verdict_matrix(self, attr_position: int) -> np.ndarray:
         """``V_a[left_code, right_code] in {0, 1, 2}`` for one attribute.
@@ -173,26 +222,21 @@ class CodeTables:
             threshold = attribute.effective_threshold
             left_values = self._left_values[attr_position]
             right_values = self._right_values[attr_position]
+            memberships = self._leaf_memberships(attr_position)
             if attribute.is_continuous:
-                matrix = _continuous_verdicts(
-                    left_values, right_values, threshold
-                )
-                self._verdicts[attr_position] = matrix
-                return matrix
-            matrix = np.empty(
-                (len(left_values), len(right_values)), dtype=np.uint8
-            )
-            for row, left_value in enumerate(left_values):
-                for column, right_value in enumerate(right_values):
-                    infimum, supremum = attribute_slack(
-                        attribute, left_value, right_value
-                    )
-                    if infimum > threshold:
-                        matrix[row, column] = 1
-                    elif supremum <= threshold:
-                        matrix[row, column] = 2
-                    else:
-                        matrix[row, column] = 0
+                matrix = _continuous_verdicts(left_values, right_values, threshold)
+            elif memberships is not None:
+                matrix = _categorical_verdicts(*memberships, threshold)
+            else:
+                slack = np.array(
+                    [
+                        attribute_slack(attribute, left_value, right_value)
+                        for left_value in left_values
+                        for right_value in right_values
+                    ],
+                    dtype=np.float64,
+                ).reshape(len(left_values), len(right_values), 2)
+                matrix = _verdicts(slack[..., 0], slack[..., 1], threshold)
             self._verdicts[attr_position] = matrix
         return matrix
 
@@ -204,6 +248,7 @@ class CodeTables:
                 self.rule.attributes[attr_position],
                 self._left_values[attr_position],
                 self._right_values[attr_position],
+                self._leaf_memberships(attr_position),
             )
             self._expected[attr_position] = matrix
         return matrix

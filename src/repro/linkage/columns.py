@@ -10,7 +10,9 @@ the two pieces every layer shares for that work:
   once, column by column: ``float64`` arrays for continuous attributes
   and integer codes into a first-seen vocabulary for categorical ones;
 - :class:`BlockLease` — one budget lease, ``(left rows, right rows,
-  take)``, with each class given as row indices into its side's columns;
+  take)``, with each class given as row indices into its side's columns,
+  and :class:`LeaseBatch`, a batch of them as arrays (what
+  :func:`check_leases` and the SMC oracles work on);
   :func:`plan_leases` turns the SMC allowance into the takes. A lease's
   matches come back as one ``(m, 2)`` :data:`OFFSET_DTYPE` array of
   ``(left_offset, right_offset)`` rows in row-major order
@@ -24,6 +26,7 @@ compared.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -60,15 +63,12 @@ def plan_leases(
     ``len(takes)`` items received a (possibly partial, only ever the
     last) lease and the rest received nothing.
     """
-    takes: list[int] = []
-    remaining = budget
-    for size in sized_items:
-        if remaining <= 0:
-            break
-        take = min(remaining, size)
-        takes.append(take)
-        remaining -= take
-    return takes, budget - remaining
+    sizes = np.asarray(sized_items, dtype=np.int64)
+    before = np.cumsum(sizes) - sizes
+    # Item i is leased while budget remains after the items before it.
+    leased = int(np.searchsorted(before, budget))
+    takes = np.minimum(budget - before[:leased], sizes[:leased]).tolist()
+    return takes, sum(takes)
 
 
 def offset_pairs(flat: Sequence[int]) -> np.ndarray:
@@ -76,29 +76,94 @@ def offset_pairs(flat: Sequence[int]) -> np.ndarray:
     return np.array(flat, dtype=OFFSET_DTYPE).reshape(-1, 2)
 
 
-def check_leases(leases: Sequence[BlockLease]) -> None:
-    """Raise :class:`ProtocolError` unless every take fits its class pair."""
-    for lease in leases:
-        pairs = len(lease.left_rows) * len(lease.right_rows)
-        if not 1 <= lease.take <= pairs:
-            raise ProtocolError(
-                f"lease take {lease.take} is outside 1..{pairs}, the "
-                "record pairs of its class pair"
+@dataclass(frozen=True, slots=True)
+class LeaseBatch:
+    """A batch of budget leases as arrays, one entry per lease.
+
+    Lease ``i`` is the :class:`BlockLease` of left rows
+    ``left_rows[left_starts[i]:left_starts[i] + left_counts[i]]``, the
+    right rows spelled the same way, and take ``takes[i]``; leases may
+    share rows. A holder passes its class row index
+    (:class:`~repro.anonymize.base.ClassRows`) as the row array and the
+    leased classes' starts and sizes, so no lease is built one at a time.
+    Iterating yields the :class:`BlockLease` views.
+    """
+
+    left_rows: np.ndarray
+    left_starts: np.ndarray
+    left_counts: np.ndarray
+    right_rows: np.ndarray
+    right_starts: np.ndarray
+    right_counts: np.ndarray
+    takes: np.ndarray
+
+    @classmethod
+    def of(cls, leases: Sequence[BlockLease] | LeaseBatch) -> LeaseBatch:
+        """*leases* as a batch (a batch is returned as it is)."""
+        if isinstance(leases, LeaseBatch):
+            return leases
+        sides = []
+        for side in ("left_rows", "right_rows"):
+            arrays = [np.asarray(getattr(lease, side)) for lease in leases]
+            counts = np.fromiter(map(len, arrays), np.int64, len(arrays))
+            rows = np.concatenate(arrays) if arrays else np.empty(0)
+            sides += (rows.astype(np.intp, copy=False), np.cumsum(counts) - counts, counts)
+        takes = np.fromiter((lease.take for lease in leases), np.int64, len(leases))
+        return cls(*sides, takes)
+
+    def __len__(self) -> int:
+        return len(self.takes)
+
+    def __getitem__(self, index: slice) -> LeaseBatch:
+        """The leases at *index* (a slice), sharing the row arrays."""
+        return LeaseBatch(
+            self.left_rows,
+            self.left_starts[index],
+            self.left_counts[index],
+            self.right_rows,
+            self.right_starts[index],
+            self.right_counts[index],
+            self.takes[index],
+        )
+
+    def __iter__(self):
+        for left_start, left_count, right_start, right_count, take in zip(
+            self.left_starts.tolist(),
+            self.left_counts.tolist(),
+            self.right_starts.tolist(),
+            self.right_counts.tolist(),
+            self.takes.tolist(),
+        ):
+            yield BlockLease(
+                self.left_rows[left_start : left_start + left_count],
+                self.right_rows[right_start : right_start + right_count],
+                take,
             )
 
 
-def lease_shape(lease: BlockLease) -> tuple[int, int, int]:
-    """``(rows, columns, remainder)`` of the block *lease* touches.
+def check_leases(
+    leases: LeaseBatch,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(rows, columns, remainders)`` of the blocks *leases* touch.
 
-    The lease covers ``rows`` left rows against the first ``columns``
-    right rows; when ``remainder`` is non-zero the last left row stops
-    after ``remainder`` right rows.
+    Lease ``i`` covers ``rows[i]`` left rows against the first
+    ``columns[i]`` right rows; when ``remainders[i]`` is non-zero its last
+    left row stops after that many right rows. Raises
+    :class:`ProtocolError` unless every take fits its class pair.
     """
-    right_count = len(lease.right_rows)
-    if lease.take < right_count:
-        return 1, lease.take, 0
-    full_rows, remainder = divmod(lease.take, right_count)
-    return full_rows + (1 if remainder else 0), right_count, remainder
+    takes, right_counts = leases.takes, leases.right_counts
+    pairs = leases.left_counts * right_counts
+    bad = np.flatnonzero((takes < 1) | (takes > pairs))
+    if len(bad):
+        raise ProtocolError(
+            f"lease take {takes[bad[0]]} is outside 1..{pairs[bad[0]]}, the "
+            "record pairs of its class pair"
+        )
+    full_rows, remainders = np.divmod(takes, right_counts)
+    short = takes < right_counts
+    rows = np.where(short, 1, full_rows + (remainders > 0))
+    columns = np.where(short, takes, right_counts)
+    return rows, columns, np.where(short, 0, remainders)
 
 
 class RecordColumns:

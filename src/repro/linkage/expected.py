@@ -19,17 +19,28 @@ common [0, 1] scale: categorical scores already live there, continuous
 scores are reduced by ``sqrt(E[d^2]) / normFactor``. The paper does not
 spell out its normalization; this choice keeps attribute scores
 commensurable and is documented in DESIGN.md.
+
+The scalar functions are the reference definitions.
+:func:`pairwise_expected_distances` builds a whole ``E[i, j]`` table at
+once: Equation 8 as broadcast arithmetic on ``lo``/``hi`` arrays in the
+scalar code's float operation order, Equation 5 from value × leaf
+membership matrices (:func:`leaf_membership`), whose product counts the
+overlaps and whose row sums are the set sizes. Every entry equals the
+scalar result bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
+
+import numpy as np
 
 from repro.data.strings import PrefixHierarchy
 from repro.data.vgh import CategoricalHierarchy, Interval
 from repro.errors import HierarchyError
 from repro.linkage.distances import MatchAttribute
-from repro.linkage.slack import as_interval, attribute_slack
+from repro.linkage.slack import as_interval, attribute_slack, interval_bounds
 
 
 def categorical_expected_distance(
@@ -101,16 +112,64 @@ def expected_distance_vector(
     )
 
 
-def pairwise_expected_distances(attribute: MatchAttribute, left_values, right_values):
+def leaf_membership(
+    hierarchy: CategoricalHierarchy, values: Sequence[str]
+) -> np.ndarray:
+    """``M[v, l] = 1`` when leaf ``l`` is in the specialization set of ``values[v]``.
+
+    One ``int64`` row per value, one column per leaf of *hierarchy* (in
+    :attr:`~repro.data.vgh.CategoricalHierarchy.leaves` order), so
+    ``M_left @ M_right.T`` counts ``|V ∩ W|`` and a row sum is ``|V|``.
+    """
+    columns = {leaf: column for column, leaf in enumerate(hierarchy.leaves)}
+    leaf_sets = [hierarchy.leaf_set(value) for value in values]
+    rows = np.repeat(np.arange(len(values)), [len(leaves) for leaves in leaf_sets])
+    matrix = np.zeros((len(values), len(columns)), dtype=np.int64)
+    matrix[rows, [columns[leaf] for leaves in leaf_sets for leaf in leaves]] = 1
+    return matrix
+
+
+def pairwise_expected_distances(
+    attribute: MatchAttribute,
+    left_values: Sequence,
+    right_values: Sequence,
+    memberships: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Dense ``E[i, j]`` table over two distinct-value lists.
 
     The expected-distance matrix the scoring kernel gathers from (see
     :mod:`repro.linkage.codes`). Entries are exactly the values
     :func:`normalized_expected_distance` returns, so kernel scores are
-    bit-identical to per-pair scalar scores.
+    bit-identical to per-pair scalar scores. A categorical attribute may
+    pass both sides' :func:`leaf_membership` matrices in *memberships*;
+    prefix (string) patterns are scored one pair at a time.
     """
-    import numpy as np
-
+    hierarchy = attribute.hierarchy
+    if attribute.is_continuous:
+        domain = hierarchy.domain_range
+        if domain <= 0:  # pragma: no cover - degenerate hierarchy
+            raise HierarchyError(
+                f"attribute {attribute.name!r} has an empty domain"
+            )
+        a1, b1 = (bound[:, None] for bound in interval_bounds(left_values))
+        a2, b2 = (bound[None, :] for bound in interval_bounds(right_values))
+        # The operations of continuous_expected_square_distance, in order.
+        square_terms = (
+            a1 * a1 + b1 * b1 + a2 * a2 + b2 * b2 + a1 * b1 + a2 * b2
+        ) / 3.0
+        expected = square_terms - (a1 + b1) * (a2 + b2) / 2.0
+        # np.where keeps max()/min()'s choice of operand on ties.
+        distance = np.sqrt(np.where(0.0 > expected, 0.0, expected)) / domain
+        return np.where(1.0 < distance, 1.0, distance)
+    if isinstance(hierarchy, CategoricalHierarchy):
+        if memberships is None:
+            memberships = (
+                leaf_membership(hierarchy, left_values),
+                leaf_membership(hierarchy, right_values),
+            )
+        left, right = memberships
+        sizes = np.multiply.outer(left.sum(axis=1), right.sum(axis=1))
+        return 1.0 - (left @ right.T) / sizes
     matrix = np.empty((len(left_values), len(right_values)), dtype=np.float64)
     for row, left in enumerate(left_values):
         for column, right in enumerate(right_values):

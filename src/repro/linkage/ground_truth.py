@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.crypto.smc.oracle import CountingPlaintextOracle
 from repro.data.schema import Relation
+from repro.errors import ConfigurationError
 from repro.linkage.columns import BlockLease, RecordColumns
 from repro.linkage.distances import MatchRule
 
@@ -30,7 +31,12 @@ _CALL_PAIRS = 1 << 22
 
 
 class GroundTruth:
-    """Exact match queries between two relations."""
+    """Exact match queries between two relations.
+
+    Building one encodes both relations and its first
+    :meth:`total_matches` counts every match, so callers evaluating
+    several runs over the same pair share one (:func:`ground_truth_for`).
+    """
 
     def __init__(self, rule: MatchRule, left: Relation, right: Relation):
         self.rule = rule
@@ -95,6 +101,27 @@ class GroundTruth:
         """Each lease covering *blocks*, with its ``(m, 2)`` matched offsets."""
         for leases in _batches(blocks):
             yield from zip(leases, self._oracle.compare_block(*self._columns, leases))
+
+
+def ground_truth_for(
+    rule: MatchRule,
+    left: Relation,
+    right: Relation,
+    ground_truth: GroundTruth | None = None,
+) -> GroundTruth:
+    """*ground_truth* when given, which must answer for *rule* over *left*
+    and *right* (:class:`ConfigurationError` otherwise); else a new one."""
+    if ground_truth is None:
+        return GroundTruth(rule, left, right)
+    if (
+        ground_truth.left is not left
+        or ground_truth.right is not right
+        or ground_truth.rule.attributes != rule.attributes
+    ):
+        raise ConfigurationError(
+            "the ground truth was built for another rule or other relations"
+        )
+    return ground_truth
 
 
 def _batches(blocks: Iterable[tuple]) -> Iterator[list[BlockLease]]:

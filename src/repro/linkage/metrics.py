@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from repro.data.schema import Relation
 from repro.linkage.distances import MatchRule
-from repro.linkage.ground_truth import GroundTruth
+from repro.linkage.ground_truth import GroundTruth, ground_truth_for
 from repro.linkage.hybrid import LinkageResult
 
 
@@ -81,14 +81,16 @@ def evaluate(
     rule: MatchRule,
     left: Relation,
     right: Relation,
+    ground_truth: GroundTruth | None = None,
 ) -> Evaluation:
     """Score *result* against exact ground truth.
 
     Verified matches (blocking-M and SMC hits) are true by construction —
     an invariant the test suite checks independently — so only claimed
-    leftover class pairs need ground-truth counting.
+    leftover class pairs need ground-truth counting. Pass *ground_truth*
+    for *rule* over *left* and *right* to reuse one across evaluations.
     """
-    ground_truth = GroundTruth(rule, left, right)
+    ground_truth = ground_truth_for(rule, left, right, ground_truth)
     tables = result.blocking.tables
     left_rows, right_rows = tables.left.class_rows, tables.right.class_rows
     claimed_true = ground_truth.count_block_matches(

@@ -9,8 +9,8 @@ so the comparison is executable:
    the classifier requires to agree exactly (categorical attributes with
    ``theta < 1`` and string attributes with ``theta = 0``);
 2. the holders run the commutative-encryption equality join of
-   :func:`repro.crypto.commutative.private_equality_join` over the token
-   multisets, learning which of their record pairs share a token without
+   :func:`repro.crypto.commutative.private_equality_groups` over the token
+   multisets, learning which of their records share a token without
    revealing the tokens themselves;
 3. only those *candidate* pairs go through the SMC step, which resolves
    the remaining (continuous / fuzzy) attributes exactly.
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._rng import make_random
-from repro.crypto.commutative import generate_safe_prime, private_equality_join
+from repro.crypto.commutative import generate_safe_prime, private_equality_groups
 from repro.crypto.smc.oracle import CountingPlaintextOracle
 from repro.data.schema import Relation
 from repro.errors import ConfigurationError
@@ -107,20 +107,14 @@ def secure_token_blocking(
     right_tokens = [
         tuple(record[position] for position in positions) for record in right
     ]
-    candidates = private_equality_join(left_tokens, right_tokens, prime, rng)
-    oracle = CountingPlaintextOracle(rule, left.schema)
-    # All left records of one token pair with the same right records, so
-    # grouped by the left token, the candidates are whole class pairs.
-    groups: dict = {}
-    for left_index, right_index in candidates:
-        lefts, rights = groups.setdefault(left_tokens[left_index], ({}, {}))
-        lefts[left_index] = rights[right_index] = None
+    # Each group of equal tokens is a whole class pair: one lease.
     leases = [
-        BlockLease(
-            np.fromiter(lefts, int), np.fromiter(rights, int), len(lefts) * len(rights)
+        BlockLease(np.array(lefts), np.array(rights), len(lefts) * len(rights))
+        for lefts, rights in private_equality_groups(
+            left_tokens, right_tokens, prime, rng
         )
-        for lefts, rights in groups.values()
     ]
+    oracle = CountingPlaintextOracle(rule, left.schema)
     results = oracle.compare_block(
         RecordColumns.from_relation(left, rule.names),
         RecordColumns.from_relation(right, rule.names),
@@ -136,7 +130,7 @@ def secure_token_blocking(
     )
     return SecureBlockingOutcome(
         total_pairs=len(left) * len(right),
-        candidate_pairs=len(candidates),
+        candidate_pairs=sum(lease.take for lease in leases),
         matched_pairs=matched,
         smc_invocations=oracle.invocations,
         commutative_encryptions=2 * (len(left) + len(right)),

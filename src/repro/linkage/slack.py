@@ -28,6 +28,8 @@ from __future__ import annotations
 import enum
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.data.strings import PrefixHierarchy, pattern_prefix
 from repro.data.vgh import CategoricalHierarchy, Interval
 from repro.errors import HierarchyError
@@ -47,6 +49,15 @@ def as_interval(value: Interval | float | int) -> Interval:
     if isinstance(value, Interval):
         return value
     return Interval.point(float(value))
+
+
+def interval_bounds(values: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)`` ``float64`` arrays of continuous generalized *values*."""
+    intervals = [as_interval(value) for value in values]
+    return (
+        np.array([interval.lo for interval in intervals], dtype=np.float64),
+        np.array([interval.hi for interval in intervals], dtype=np.float64),
+    )
 
 
 def categorical_slack(

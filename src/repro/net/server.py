@@ -45,7 +45,7 @@ from repro.errors import (
     TransportError,
     WireError,
 )
-from repro.linkage.columns import BlockLease, RecordColumns
+from repro.linkage.columns import LeaseBatch, RecordColumns
 from repro.net.faults import FaultInjector, injector_from_env
 from repro.net.session import (
     BatchLedger,
@@ -350,14 +350,13 @@ class DataHolderServer:
         """Run the oracle over one fresh batch of leases."""
         holder = self._holder
         names = list(session.rule.names)
-        left_rows = [holder._class_rows(lease.left_class) for lease in leases]
+        leases = np.array(leases, dtype=np.int64).reshape(-1, 3)
+        left = holder._classes_rows(leases[:, 0])
         # One peer round trip per batch: for each distinct right class,
         # the rows the batch's leases touch (the first max-take of them).
         wanted: dict[int, int] = {}
-        for lease in leases:
-            wanted[lease.right_class] = max(
-                wanted.get(lease.right_class, 0), lease.take
-            )
+        for right_class, take in leases[:, 1:].tolist():
+            wanted[right_class] = max(wanted.get(right_class, 0), take)
         classes = list(wanted.items())
         fetched = await self._fetch_from_peer(session, names, classes)
         spans: dict[int, tuple[int, int]] = {}
@@ -366,18 +365,19 @@ class DataHolderServer:
             spans[class_id] = (len(rows), len(class_rows))
             rows.extend(class_rows)
         right = RecordColumns.from_rows(holder.schema, names, rows)
-        block_leases = []
-        for lease, lease_left_rows in zip(leases, left_rows):
-            start, count = spans[lease.right_class]
-            block_leases.append(
-                BlockLease(
-                    lease_left_rows,
-                    np.arange(start, start + min(lease.take, count)),
-                    lease.take,
-                )
-            )
+        right_starts, right_sizes = np.array(
+            [spans[class_id] for class_id in leases[:, 1].tolist()], dtype=np.int64
+        ).reshape(-1, 2).T
+        # Each lease reads the first min(take, fetched) rows of its class.
+        batch = LeaseBatch(
+            *left,
+            np.arange(len(rows)),
+            right_starts,
+            np.minimum(leases[:, 2], right_sizes),
+            leases[:, 2],
+        )
         oracle = session.oracle
-        matches = oracle.compare_block(holder._columns(), right, block_leases)
+        matches = oracle.compare_block(holder._columns(), right, batch)
         messages, channel_bytes = session.channel_estimate()
         self._telemetry.counter("net.batches_served").add(1)
         return BatchRecord(

@@ -50,7 +50,7 @@ from repro.data.schema import Relation
 from repro.errors import ConfigurationError, ProtocolError
 from repro.linkage.blocking import block
 from repro.linkage.codes import CodeTables
-from repro.linkage.columns import OFFSET_DTYPE, BlockLease, RecordColumns, plan_leases
+from repro.linkage.columns import OFFSET_DTYPE, LeaseBatch, RecordColumns, plan_leases
 from repro.linkage.distances import MatchRule
 from repro.linkage.heuristics import MinAvgFirst, SelectionHeuristic
 from repro.linkage.strategies import (
@@ -119,7 +119,6 @@ class DataHolder:
             np.empty(0, dtype=np.intp), np.zeros(1, dtype=np.intp)
         )
         self.__columns: RecordColumns | None = None
-        self.__published: PublishedView | None = None
 
     def publish(
         self,
@@ -133,7 +132,16 @@ class DataHolder:
         can choose different anonymization methods, anonymity levels,
         quasi-identifier attribute sets" (Section I).
         """
-        return self._adopt(anonymizer.anonymize(self.__relation, qids, k))
+        generalized = anonymizer.anonymize(self.__relation, qids, k)
+        self._adopt(generalized)
+        return PublishedView(
+            holder=self.name,
+            qids=generalized.qids,
+            classes=tuple(
+                PublishedClass(class_id, eq_class.sequence, eq_class.size)
+                for class_id, eq_class in enumerate(generalized.classes)
+            ),
+        )
 
     @classmethod
     def adopt(cls, name: str, generalized: GeneralizedRelation) -> DataHolder:
@@ -142,24 +150,15 @@ class DataHolder:
         This is how the in-process library hands relations it anonymized
         itself to the protocol: class ``i`` of *generalized* is published
         with ``class_id`` ``i``. Adopting the same relation again reuses
-        its encoded columns.
+        its encoded columns; no view is built.
         """
         holder = cls(name, generalized.source)
         holder._adopt(generalized)
         return holder
 
-    def _adopt(self, generalized: GeneralizedRelation) -> PublishedView:
+    def _adopt(self, generalized: GeneralizedRelation) -> None:
         self.__class_rows = generalized.class_rows
         self.__columns = generalized.qid_columns
-        self.__published = PublishedView(
-            holder=self.name,
-            qids=generalized.qids,
-            classes=tuple(
-                PublishedClass(class_id, eq_class.sequence, eq_class.size)
-                for class_id, eq_class in enumerate(generalized.classes)
-            ),
-        )
-        return self.__published
 
     @property
     def schema(self):
@@ -174,11 +173,25 @@ class DataHolder:
 
     def _class_rows(self, class_id: int) -> np.ndarray:
         """Row indices of class *class_id* (only the SMC bridge may call this)."""
-        if not 0 <= class_id < len(self.__class_rows.starts) - 1:
+        rows, starts, sizes = self._classes_rows([class_id])
+        return rows[starts[0] : starts[0] + sizes[0]]
+
+    def _classes_rows(self, class_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where the rows of each class in *class_ids* lie (only the SMC
+        bridge may call this): ``(rows, starts, sizes)``, class ``i``'s
+        row indices being ``rows[starts[i]:starts[i] + sizes[i]]``.
+
+        Every id is checked first: an unknown or negative one raises
+        :class:`ProtocolError` naming the first.
+        """
+        ids = np.asarray(class_ids, dtype=np.int64)
+        starts = self.__class_rows.starts
+        bad = np.flatnonzero((ids < 0) | (ids >= len(starts) - 1))
+        if len(bad):
             raise ProtocolError(
-                f"holder {self.name!r} has no class {class_id}"
+                f"holder {self.name!r} has no class {ids[bad[0]]}"
             )
-        return self.__class_rows.of(class_id)
+        return self.__class_rows.rows, starts[ids], starts[ids + 1] - starts[ids]
 
     def _class_values(
         self, class_id: int, count: int, names: Sequence[str]
@@ -254,16 +267,14 @@ class SMCBridge:
         ``1..`` the class pair's size raises :class:`ProtocolError` before
         any pair is compared.
         """
-        block_leases = [
-            BlockLease(
-                self._left._class_rows(lease.left_class),
-                self._right._class_rows(lease.right_class),
-                lease.take,
-            )
-            for lease in leases
-        ]
+        leases = np.array(leases, dtype=np.int64).reshape(-1, 3)
+        batch = LeaseBatch(
+            *self._left._classes_rows(leases[:, 0]),
+            *self._right._classes_rows(leases[:, 1]),
+            leases[:, 2],
+        )
         return self.oracle.compare_block(
-            self._left._columns(), self._right._columns(), block_leases
+            self._left._columns(), self._right._columns(), batch
         )
 
     @property
@@ -413,7 +424,7 @@ def link_unknown(
         order = heuristic.order(unknown, tables, telemetry=telemetry)
     ordered = unknown[order]
     sizes = tables.left_sizes[ordered[:, 0]] * tables.right_sizes[ordered[:, 1]]
-    takes, granted = plan_leases(sizes.tolist(), allowance_pairs)
+    takes, granted = plan_leases(sizes, allowance_pairs)
     leased = ordered[: len(takes)]
     ids = np.stack((tables.left_ids[leased[:, 0]], tables.right_ids[leased[:, 1]]), 1)
     if ids.size and ids.max() > np.iinfo(OFFSET_DTYPE).max:
@@ -428,19 +439,21 @@ def link_unknown(
                 f"bridge answered {len(offsets)} of {len(leases)} leases"
             )
         matches = [len(lease_offsets) for lease_offsets in offsets]
-        spent = matched = 0
-        for position, (take, count) in enumerate(zip(takes, matches)):
-            spent += take
-            matched += count
-            telemetry.histogram("smc.class_pair_take").observe(take)
-            telemetry.emit_progress(
-                "smc",
-                spent,
-                allowance_pairs,
-                unit="pairs",
-                matches=matched,
-                class_pairs=position + 1,
-            )
+        matched = sum(matches)
+        if telemetry.enabled:
+            spent = progress = 0
+            for position, (take, count) in enumerate(zip(takes, matches)):
+                spent += take
+                progress += count
+                telemetry.histogram("smc.class_pair_take").observe(take)
+                telemetry.emit_progress(
+                    "smc",
+                    spent,
+                    allowance_pairs,
+                    unit="pairs",
+                    matches=progress,
+                    class_pairs=position + 1,
+                )
         smc_span.annotate(invocations=billed, matches=matched)
     if billed != granted:
         raise ProtocolError(

@@ -4,7 +4,9 @@ import pytest
 
 from repro.anonymize import MaxEntropyTDS, identity_generalization
 from repro.data.hierarchies import ADULT_QID_ORDER
+from repro.errors import ConfigurationError
 from repro.linkage.baselines import pure_sanitization_linkage, pure_smc_linkage
+from repro.linkage.ground_truth import GroundTruth
 from repro.linkage.hybrid import HybridLinkage, LinkageConfig
 from repro.linkage.metrics import evaluate
 
@@ -26,6 +28,24 @@ class TestPureSMC:
         assert outcome.evaluation.precision == 1.0
         assert outcome.evaluation.recall == 1.0
         assert outcome.smc_invocations == adult_pair.total_pairs
+
+    def test_shared_ground_truth_must_match(self, adult_rule, adult_pair):
+        truth = GroundTruth(adult_rule, adult_pair.left, adult_pair.right)
+        shared = pure_smc_linkage(
+            adult_rule, adult_pair.left, adult_pair.right, truth
+        )
+        assert shared == pure_smc_linkage(
+            adult_rule, adult_pair.left, adult_pair.right
+        )
+        with pytest.raises(ConfigurationError, match="another rule"):
+            pure_smc_linkage(adult_rule, adult_pair.right, adult_pair.left, truth)
+        with pytest.raises(ConfigurationError, match="another rule"):
+            pure_smc_linkage(
+                adult_rule.with_thresholds(0.5),
+                adult_pair.left,
+                adult_pair.right,
+                truth,
+            )
 
     def test_hybrid_is_cheaper(self, adult_rule, adult_pair, generalized_pair):
         """The paper's headline: 'costs are usually lower than, and at

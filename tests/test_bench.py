@@ -141,6 +141,19 @@ class TestDrivers:
         assert rows["pure SMC"][2] == 100.0
         assert rows["hybrid (ours)"][1] == 100.0
 
+    def test_baselines_share_one_ground_truth(self, monkeypatch):
+        from repro.linkage import ground_truth
+
+        built = []
+        build = ground_truth.GroundTruth.__init__
+        monkeypatch.setattr(
+            ground_truth.GroundTruth,
+            "__init__",
+            lambda self, *args: built.append(args) or build(self, *args),
+        )
+        baselines(ExperimentData(BenchConfig(source_records=450, seed=99)))
+        assert len(built) == 1
+
     def test_smc_timing_small_key(self, tiny_data):
         table = smc_timing(key_bits=256, samples=2, data=tiny_data)
         values = dict((row[0], row[1]) for row in table.rows)

@@ -8,6 +8,7 @@ from repro.crypto.commutative import (
     CommutativeKey,
     generate_safe_prime,
     hash_to_group,
+    private_equality_groups,
     private_equality_join,
 )
 from repro.crypto.primes import is_probable_prime
@@ -83,3 +84,16 @@ class TestPrivateEqualityJoin:
         right = [("9th", 28)]
         matches = private_equality_join(left, right, prime, random.Random(6))
         assert matches == [(1, 0)]
+
+    def test_groups_are_the_join_grouped_by_value(self, prime):
+        left = ["x", "y", "x", "z", "y", "w"]
+        right = ["y", "x", "q", "x", "y"]
+        groups = private_equality_groups(left, right, prime, random.Random(7))
+        assert groups == [([0, 2], [1, 3]), ([1, 4], [0, 4])]
+        assert private_equality_join(left, right, prime, random.Random(7)) == [
+            (left_index, right_index)
+            for left_index in range(len(left))
+            for lefts, rights in groups
+            if left_index in lefts
+            for right_index in rights
+        ]

@@ -1,19 +1,28 @@
 """Tests for expected distances (Equations 1-8), incl. Monte Carlo checks."""
 
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.data.hierarchies import toy_education_vgh, toy_work_hrs_vgh
-from repro.data.vgh import Interval
-from repro.linkage.distances import MatchAttribute
+from repro.data.hierarchies import (
+    adult_hierarchies,
+    toy_education_vgh,
+    toy_work_hrs_vgh,
+)
+from repro.data.vgh import CategoricalHierarchy, Interval, IntervalHierarchy
+from repro.linkage.codes import CodeTables
+from repro.linkage.distances import MatchAttribute, MatchRule
 from repro.linkage.expected import (
     categorical_expected_distance,
     continuous_expected_square_distance,
     expected_distance_vector,
     normalized_expected_distance,
+    pairwise_expected_distances,
 )
+from repro.linkage.slack import attribute_slack
 
 
 @pytest.fixture(scope="module")
@@ -143,3 +152,136 @@ class TestNormalizedExpected:
         assert normalized_expected_distance(
             attribute, Interval.point(40), Interval.point(40)
         ) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The numpy code tables equal the scalar rules bit for bit.
+# ---------------------------------------------------------------------------
+
+ADULT = adult_hierarchies()
+ADULT_CATEGORICAL = sorted(
+    name for name, hierarchy in ADULT.items()
+    if isinstance(hierarchy, CategoricalHierarchy)
+)
+#: A domain of width 10, so drawn intervals often span all of it.
+NARROW = IntervalHierarchy.equi_width("narrow", 0, 10, 2, 2)
+
+
+def _view(name, values):
+    """A one-attribute published side whose classes hold *values*."""
+    return SimpleNamespace(
+        qids=(name,),
+        classes=[SimpleNamespace(sequence=(value,), size=1) for value in values],
+    )
+
+
+def _tables(attribute, left_values, right_values):
+    return CodeTables(
+        MatchRule([attribute]),
+        _view(attribute.name, left_values),
+        _view(attribute.name, right_values),
+    )
+
+
+def _assert_bitwise(matrix, expected):
+    expected = np.array(expected, dtype=np.float64).reshape(matrix.shape)
+    assert matrix.dtype == np.float64
+    assert (matrix.view(np.int64) == expected.view(np.int64)).all()
+
+
+@st.composite
+def categorical_sides(draw):
+    """A categorical attribute and two distinct-value lists over every level
+    of one Adult hierarchy (the tables' inputs are distinct values)."""
+    name = draw(st.sampled_from(ADULT_CATEGORICAL))
+    nodes = st.sampled_from(ADULT[name].nodes)
+    left = draw(st.lists(nodes, min_size=1, max_size=8, unique=True))
+    right = draw(st.lists(nodes, min_size=1, max_size=8, unique=True))
+    threshold = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5]))
+    return MatchAttribute(name, ADULT[name], threshold), left, right
+
+
+@st.composite
+def continuous_sides(draw):
+    """Interval values for the narrow domain and Adult's age, including
+    points, raw numbers, coinciding intervals and intervals wider than the
+    domain."""
+    hierarchy = draw(st.sampled_from([NARROW, ADULT["age"]]))
+    bound = st.floats(-200.0, 300.0, allow_nan=False).map(lambda x: round(x, 2))
+
+    def value(lo, width, kind):
+        if kind == "raw":
+            return lo
+        if kind == "point":
+            return Interval.point(lo)
+        return Interval(lo, lo + width)
+
+    one = st.builds(
+        value, bound, st.floats(0.0, 400.0).map(lambda x: round(x, 1)),
+        st.sampled_from(["raw", "point", "interval"]),
+    )
+    nodes = st.sampled_from(hierarchy.nodes)
+    left = draw(st.lists(one | nodes, min_size=1, max_size=8, unique=True))
+    right = draw(st.lists(one | nodes, min_size=0, max_size=6, unique=True))
+    # Right values that coincide with left ones exercise the clamp at 0.
+    for item in draw(st.lists(st.sampled_from(left), max_size=4)):
+        if item not in right:
+            right.append(item)
+    if not right:
+        right = [hierarchy.root]
+    return MatchAttribute(hierarchy.name, hierarchy, 0.1), left, right
+
+
+class TestTablesMatchScalar:
+    @given(sides=categorical_sides())
+    @settings(max_examples=120, deadline=None)
+    def test_categorical_expected_and_verdicts(self, sides):
+        attribute, left, right = sides
+        tables = _tables(attribute, left, right)
+        _assert_bitwise(
+            tables.expected_matrix(0),
+            [normalized_expected_distance(attribute, l, r) for l in left for r in right],
+        )
+        threshold = attribute.effective_threshold
+        verdicts = [
+            1 if low > threshold else 2 if high <= threshold else 0
+            for low, high in (
+                attribute_slack(attribute, l, r) for l in left for r in right
+            )
+        ]
+        assert tables.verdict_matrix(0).tolist() == np.reshape(
+            verdicts, (len(left), len(right))
+        ).tolist()
+
+    @pytest.mark.parametrize("name", ADULT_CATEGORICAL)
+    def test_every_adult_level(self, name):
+        """Every node against every node, for each Adult hierarchy."""
+        hierarchy = ADULT[name]
+        nodes = list(hierarchy.nodes)
+        attribute = MatchAttribute(name, hierarchy, 0.0)
+        matrix = pairwise_expected_distances(attribute, nodes, nodes)
+        _assert_bitwise(
+            matrix,
+            [categorical_expected_distance(hierarchy, l, r) for l in nodes for r in nodes],
+        )
+
+    @given(sides=continuous_sides())
+    @settings(max_examples=120, deadline=None)
+    def test_continuous_expected(self, sides):
+        attribute, left, right = sides
+        _assert_bitwise(
+            _tables(attribute, left, right).expected_matrix(0),
+            [normalized_expected_distance(attribute, l, r) for l in left for r in right],
+        )
+
+    def test_continuous_clamps(self):
+        """Coinciding intervals clamp at 0, domain-wide ones at 1.0."""
+        attribute = MatchAttribute("narrow", NARROW, 0.1)
+        left = [Interval(0.1, 0.7), Interval(-50.0, 60.0), 3.0]
+        right = [Interval(0.1, 0.7), Interval(-50.0, 60.0), Interval(3.0, 3.0)]
+        matrix = pairwise_expected_distances(attribute, left, right)
+        _assert_bitwise(
+            matrix,
+            [normalized_expected_distance(attribute, l, r) for l in left for r in right],
+        )
+        assert matrix[1, 1] == 1.0 and matrix[2, 2] == 0.0

@@ -471,6 +471,40 @@ class TestLiveServerStrictness:
         assert replies[3]["code"] == "bad_session"
         assert "different rule" in replies[3]["message"]
 
+    @pytest.mark.parametrize(
+        "lease, code, message",
+        [
+            ([10**6, 0, 1], "protocol", "holder 'alice' has no class 1000000"),
+            ([0, 10**6, 1], "protocol", "holder 'bob' has no class 1000000"),
+            ([0, 0, 10**6], "protocol", "lease take 1000000 is outside 1.."),
+            ([-1, 0, 1], "bad_frame", "leases must be >= 0"),
+            ([0, 0, 0], "bad_frame", "lease take must be >= 1"),
+        ],
+        ids=["unknown-left", "unknown-right", "take-above", "negative", "take-0"],
+    )
+    def test_bad_lease_answered_before_any_compare(
+        self, live_servers, net_fixture, lease, code, message
+    ):
+        """A batch naming no class pair, or a take outside it, compares
+        nothing: the session's bill stays at zero."""
+        alice, bob = live_servers
+        _, rule, __ = net_fixture
+        session = f"bad-lease-{lease}"
+        frames = [
+            {
+                "type": "smc_open",
+                "session": session,
+                "rule": encode_rule(rule),
+                "peer": {"party": "bob", "host": bob.host, "port": bob.port},
+            },
+            {"type": "smc_batch", "session": session, "seq": 1, "leases": [[0, 0, 1], lease]},
+            {"type": "smc_close", "session": session},
+        ]
+        replies = raw_exchange(alice, [encode_frame(frame) for frame in frames])
+        assert replies[2]["code"] == code
+        assert message in replies[2]["message"]
+        assert replies[3]["invocations"] == 0
+
     @pytest.mark.parametrize("port", [True, 0], ids=["bool", "zero"])
     def test_bad_peer_port_answered(self, live_servers, net_fixture, port):
         alice, _ = live_servers

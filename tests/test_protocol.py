@@ -99,6 +99,22 @@ class TestBridge:
         with pytest.raises(ProtocolError):
             alice.resolve([(0, left_view.classes[0].size)])
 
+    @pytest.mark.parametrize("class_id", [-1, 999_999])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_unknown_class_names_holder_and_class(
+        self, parties, adult_rule, side, class_id
+    ):
+        """The batched class lookup checks every id before any compare."""
+        alice, bob, *_ = parties
+        bridge = SMCBridge(alice, bob, adult_rule)
+        bad = Lease(class_id, 0, 1) if side == "left" else Lease(0, class_id, 1)
+        holder = "alice" if side == "left" else "bob"
+        with pytest.raises(
+            ProtocolError, match=rf"^holder '{holder}' has no class {class_id}$"
+        ):
+            bridge.compare_many([Lease(0, 0, 1), bad, Lease(0, 0, 1)])
+        assert bridge.invocations == 0
+
     def test_take_larger_than_class_pair_rejected(self, parties, adult_rule):
         alice, bob, left_view, right_view = parties
         bridge = SMCBridge(alice, bob, adult_rule)
