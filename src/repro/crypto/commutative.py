@@ -127,10 +127,13 @@ def private_equality_groups(
         rng = random.SystemRandom()
     key_left = CommutativeKey.generate(prime, rng)
     key_right = CommutativeKey.generate(prime, rng)
-    once_left = [key_left.hash_encrypt(value) for value in left_values]
-    once_right = [key_right.hash_encrypt(value) for value in right_values]
-    twice_left = [key_right.encrypt(element) for element in once_left]
-    twice_right = [key_left.encrypt(element) for element in once_right]
+    # SRA encryption is deterministic, so each distinct value (by the repr
+    # hash_to_group hashes) is encrypted once and handed to every record
+    # holding it: each side still holds one ciphertext per record.
+    once_left = _encrypt_each(key_left.hash_encrypt, left_values, repr)
+    once_right = _encrypt_each(key_right.hash_encrypt, right_values, repr)
+    twice_left = _encrypt_each(key_right.encrypt, once_left, int)
+    twice_right = _encrypt_each(key_left.encrypt, once_right, int)
     right_lookup: dict[int, list[int]] = {}
     for right_index, element in enumerate(twice_right):
         right_lookup.setdefault(element, []).append(right_index)
@@ -139,3 +142,13 @@ def private_equality_groups(
         if element in right_lookup:
             left_lookup.setdefault(element, []).append(left_index)
     return [(lefts, right_lookup[element]) for element, lefts in left_lookup.items()]
+
+
+def _encrypt_each(encrypt, values, identity) -> list[int]:
+    """``[encrypt(value) for value in values]``, one call per distinct
+    ``identity(value)``."""
+    values = list(values)
+    keys = list(map(identity, values))
+    distinct = dict(zip(keys, values))
+    ciphertexts = {key: encrypt(value) for key, value in distinct.items()}
+    return [ciphertexts[key] for key in keys]

@@ -44,6 +44,7 @@ from repro.linkage.columns import (
     RecordColumns,
     check_leases,
     offset_pairs,
+    run_offsets,
     shared_codes,
 )
 from repro.linkage.distances import MatchRule
@@ -386,20 +387,6 @@ def _key_ranks(left_key: np.ndarray, right_key: np.ndarray):
     return ranks[: len(left_key)], ranks[len(left_key) :], len(distinct)
 
 
-def _starts(counts: np.ndarray) -> np.ndarray:
-    """Exclusive prefix sums of *counts*: where each run starts."""
-    ends = np.cumsum(counts)
-    return ends - counts
-
-
-def _within(counts: np.ndarray) -> np.ndarray:
-    """``0..count - 1`` for each of *counts*, concatenated, as ``int32``."""
-    total = int(counts.sum())
-    return np.arange(total, dtype=OFFSET_DTYPE) - np.repeat(
-        _starts(counts).astype(OFFSET_DTYPE), counts
-    )
-
-
 def _join_group(
     join: _Join,
     leases: LeaseBatch,
@@ -409,8 +396,8 @@ def _join_group(
 ) -> list[np.ndarray]:
     """The matching offsets of each of *leases*, found by one sort-join;
     *rows*, *widths* and *remainders* are their :func:`check_leases` shapes."""
-    left_offsets = _within(rows)
-    right_offsets = _within(widths)
+    left_offsets = run_offsets(rows)
+    right_offsets = run_offsets(widths)
     left_rows = leases.left_rows[np.repeat(leases.left_starts, rows) + left_offsets]
     right_rows = leases.right_rows[
         np.repeat(leases.right_starts, widths) + right_offsets
@@ -486,7 +473,7 @@ def _join_group(
     offsets = np.empty((len(matched_rows), 2), dtype=OFFSET_DTYPE)
     offsets[:, 0] = left_offsets[matched_rows]
     offsets[:, 1] = right_offsets[positions]
-    bounds = np.searchsorted(matched_rows, _starts(rows)).tolist()
+    bounds = np.searchsorted(matched_rows, np.cumsum(rows) - rows).tolist()
     bounds.append(len(offsets))
     return [offsets[start:stop] for start, stop in zip(bounds, bounds[1:])]
 

@@ -196,6 +196,13 @@ class CodeTables:
             None
         ] * len(rule)
 
+    def id_pairs(self, positions: np.ndarray) -> np.ndarray:
+        """The ``(left class_id, right class_id)`` of each ``(left, right)``
+        class-position row, as an ``(n, 2)`` ``int64`` array."""
+        return np.stack(
+            (self.left_ids[positions[:, 0]], self.right_ids[positions[:, 1]]), axis=1
+        )
+
     def _leaf_memberships(self, attr_position: int):
         """Both sides' leaf membership matrices of a VGH attribute, or
         ``None`` for any other attribute (continuous or prefix)."""

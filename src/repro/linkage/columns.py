@@ -16,7 +16,8 @@ the two pieces every layer shares for that work:
   :func:`plan_leases` turns the SMC allowance into the takes. A lease's
   matches come back as one ``(m, 2)`` :data:`OFFSET_DTYPE` array of
   ``(left_offset, right_offset)`` rows in row-major order
-  (:func:`offset_pairs`).
+  (:func:`offset_pairs`), and :func:`cross_offsets` lists whole class
+  pairs' offset pairs in that order.
 
 Codes are local to one :class:`RecordColumns`; :func:`shared_codes` puts
 two sides' codes into one vocabulary covering both before they are
@@ -69,6 +70,21 @@ def plan_leases(
     leased = int(np.searchsorted(before, budget))
     takes = np.minimum(budget - before[:leased], sizes[:leased]).tolist()
     return takes, sum(takes)
+
+
+def run_offsets(counts: np.ndarray) -> np.ndarray:
+    """``0..count - 1`` for each of *counts*, concatenated (:data:`OFFSET_DTYPE`)."""
+    starts = (np.cumsum(counts) - counts).astype(OFFSET_DTYPE)
+    return np.arange(int(counts.sum()), dtype=OFFSET_DTYPE) - np.repeat(starts, counts)
+
+
+def cross_offsets(left_sizes: np.ndarray, right_sizes: np.ndarray) -> np.ndarray:
+    """Every ``(left offset, right offset)`` pair of class pairs of
+    *left_sizes* by *right_sizes* records, class pair by class pair and
+    row-major within one, as an ``(n, 2)`` :data:`OFFSET_DTYPE` array."""
+    counts = left_sizes * right_sizes
+    widths = np.repeat(right_sizes.astype(OFFSET_DTYPE), counts)
+    return np.stack(np.divmod(run_offsets(counts), widths), axis=1)
 
 
 def offset_pairs(flat: Sequence[int]) -> np.ndarray:

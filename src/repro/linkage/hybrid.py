@@ -36,6 +36,7 @@ from repro.crypto.smc.oracle import CountingPlaintextOracle, SMCOracle
 from repro.data.schema import Schema
 from repro.errors import ConfigurationError, PipelineError, ProtocolError
 from repro.linkage.blocking import BlockingResult, block
+from repro.linkage.columns import cross_offsets, run_offsets
 from repro.linkage.distances import MatchRule
 from repro.linkage.heuristics import MinAvgFirst, SelectionHeuristic
 from repro.linkage.strategies import (
@@ -56,7 +57,7 @@ __all__ = [
 
 OracleFactory = Callable[[MatchRule, Schema], SMCOracle]
 
-#: Rows of ``smc_matches`` turned into tuples at a time when iterating.
+#: Verified pairs built and turned into tuples at a time when iterating.
 _CHUNK_ROWS = 4096
 
 
@@ -183,15 +184,33 @@ class LinkageResult:
         return self.verified_match_pairs + self.claimed_pairs
 
     def iter_verified_matches(self) -> Iterator[tuple[int, int]]:
-        """Yield verified matching (left_index, right_index) pairs."""
+        """Yield verified matching ``(left_index, right_index)`` pairs: the
+        blocked-M class pairs' record pairs, in blocking order and row-major
+        within a class pair, then ``smc_matches``; about ``_CHUNK_ROWS``
+        pairs (or one left record's row) are built at a time."""
         tables = self.blocking.tables
-        left_classes = tables.left.classes
-        right_classes = tables.right.classes
-        for left, right in self.blocking.matched.tolist():
-            right_indices = right_classes[right].indices
-            for left_index in left_classes[left].indices:
-                for right_index in right_indices:
-                    yield left_index, right_index
+        left, right = tables.left.class_rows, tables.right.class_rows
+        classes = self.blocking.matched
+        left_sizes = tables.left_sizes[classes[:, 0]]
+        right_sizes = tables.right_sizes[classes[:, 1]]
+        # Cut each class pair into pieces of whole left rows, up to
+        # _CHUNK_ROWS record pairs each, and take the pieces in chunks.
+        step = np.maximum(_CHUNK_ROWS // right_sizes, 1)
+        pieces = -(-left_sizes // step)
+        owner = np.repeat(np.arange(len(classes)), pieces)
+        first = run_offsets(pieces) * step[owner]
+        rows = np.minimum(step[owner], left_sizes[owner] - first)
+        widths = right_sizes[owner]
+        left_starts = left.starts[classes[owner, 0]] + first
+        right_starts = right.starts[classes[owner, 1]]
+        counts = rows * widths
+        chunks = (np.cumsum(counts) - counts) // _CHUNK_ROWS
+        bounds = np.flatnonzero(np.diff(chunks)) + 1
+        for chunk in np.split(np.arange(len(owner)), bounds):
+            offsets = cross_offsets(rows[chunk], widths[chunk])
+            lefts = np.repeat(left_starts[chunk], counts[chunk]) + offsets[:, 0]
+            rights = np.repeat(right_starts[chunk], counts[chunk]) + offsets[:, 1]
+            yield from zip(left.rows[lefts].tolist(), right.rows[rights].tolist())
         matches = self.smc_matches
         for start in range(0, len(matches), _CHUNK_ROWS):
             chunk = matches[start : start + _CHUNK_ROWS]

@@ -47,14 +47,12 @@ from repro.net.wire import (
     decode_indices,
     decode_lease_matches,
     decode_view,
-    encode_leases,
     encode_rule,
     hello_message,
     validate_welcome,
 )
 from repro.obs import NOOP_TELEMETRY, Telemetry
 from repro.protocol import (
-    Lease,
     ProtocolOutcome,
     PublishedView,
     QueryingParty,
@@ -234,8 +232,7 @@ class RemoteSMCBridge:
         self._link = link
         self._peer = peer
         self._rule_wire = encode_rule(rule)
-        self._left_sizes = {c.class_id: c.size for c in left_view.classes}
-        self._right_sizes = {c.class_id: c.size for c in right_view.classes}
+        self._views = left_view, right_view
         self._batch_size = batch_size
         self._telemetry = telemetry
         self.session_id = session_id or f"smc-{uuid.uuid4().hex[:12]}"
@@ -269,37 +266,31 @@ class RemoteSMCBridge:
             self._fsm.to(SessionState.OPEN)
         return self
 
-    def compare_many(self, leases: list[Lease]) -> list[np.ndarray]:
-        """Run *leases* remotely, ``batch_size`` per frame, resuming on drops.
+    def compare_many(self, leases: np.ndarray) -> list[np.ndarray]:
+        """Run *leases*, an ``(n, 3)`` ``int64`` array of ``[left class_id,
+        right class_id, take]`` rows, remotely, ``batch_size`` per frame,
+        resuming on drops.
 
         Returns, per lease, its matching ``(left_offset, right_offset)``
         pairs in row-major order as an ``(m, 2)`` array, as
-        :meth:`repro.protocol.SMCBridge.compare_many` does. The round trips
-        are timed as the ``net.smc`` span, which nests inside the querying
-        party's ``linkage.smc``.
+        :meth:`repro.protocol.SMCBridge.compare_many` does. A lease naming
+        a class the published views lack raises :class:`ProtocolError`
+        before any frame is sent. The round trips are timed as the
+        ``net.smc`` span, which nests inside the querying party's
+        ``linkage.smc``.
         """
         results: list[np.ndarray] = []
         with self._telemetry.span("net.smc", session=self.session_id):
+            left, right = self._views
+            shapes = np.stack(
+                (left.class_sizes(leases[:, 0]), right.class_sizes(leases[:, 1])), 1
+            )
             for start in range(0, len(leases), self._batch_size):
-                results.extend(
-                    self._send_batch(leases[start : start + self._batch_size])
-                )
+                batch = slice(start, start + self._batch_size)
+                results.extend(self._send_batch(leases[batch], shapes[batch]))
         return results
 
-    def _send_batch(self, leases: list[Lease]) -> list[np.ndarray]:
-        try:
-            shapes = [
-                (
-                    self._left_sizes[lease.left_class],
-                    self._right_sizes[lease.right_class],
-                )
-                for lease in leases
-            ]
-        except KeyError as error:
-            raise ProtocolError(
-                f"lease names class {error.args[0]}, which is not in the "
-                "published views"
-            ) from None
+    def _send_batch(self, leases: np.ndarray, shapes: np.ndarray) -> list:
         self._fsm.require(SessionState.OPEN, SessionState.IN_FLIGHT)
         if self._fsm.state is SessionState.OPEN:
             self._fsm.to(SessionState.IN_FLIGHT)
@@ -308,7 +299,7 @@ class RemoteSMCBridge:
             "type": "smc_batch",
             "session": self.session_id,
             "seq": self._seq,
-            "leases": encode_leases(leases),
+            "leases": leases.tolist(),
         }
         for attempt in range(MAX_RESUME_ATTEMPTS):
             try:
@@ -322,24 +313,22 @@ class RemoteSMCBridge:
                     self.open()  # resumed: server replays from its ledger
                     self._fsm.to(SessionState.IN_FLIGHT)
                 continue
-            return self._accept_result(reply, leases, shapes)
+            return self._accept_result(reply, leases[:, 2], shapes)
         raise NetError(
             f"session {self.session_id!r} could not deliver batch "
             f"{self._seq} after {MAX_RESUME_ATTEMPTS} resume attempts"
         )
 
     def _accept_result(
-        self, reply: dict, leases: list[Lease], shapes
+        self, reply: dict, takes: np.ndarray, shapes: np.ndarray
     ) -> list[np.ndarray]:
         if reply.get("type") != "smc_result":
             raise ProtocolError(
                 f"expected smc_result, got {reply.get('type')!r}"
             )
-        matches = decode_lease_matches(reply.get("matches"), leases, shapes)
+        matches = decode_lease_matches(reply.get("matches"), takes, shapes)
         self._absorb_costs(reply)
-        self._telemetry.histogram("net.batch_pairs").observe(
-            sum(lease.take for lease in leases)
-        )
+        self._telemetry.histogram("net.batch_pairs").observe(int(takes.sum()))
         return matches
 
     def _absorb_costs(self, reply: dict) -> None:

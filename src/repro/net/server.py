@@ -71,7 +71,7 @@ from repro.net.wire import (
     welcome_message,
 )
 from repro.obs import NOOP_TELEMETRY, Telemetry
-from repro.protocol import DataHolder, Lease
+from repro.protocol import DataHolder
 
 #: How long a serving connection may sit idle between requests. The
 #: querying party runs blocking/selection between ``get_view`` and the
@@ -345,12 +345,12 @@ class DataHolderServer:
         self,
         session: _ServerSession,
         seq: int,
-        leases: list[Lease],
+        leases: np.ndarray,
     ) -> BatchRecord:
-        """Run the oracle over one fresh batch of leases."""
+        """Run the oracle over one fresh batch of leases, an ``(n, 3)``
+        array of ``[left class_id, right class_id, take]`` rows."""
         holder = self._holder
         names = list(session.rule.names)
-        leases = np.array(leases, dtype=np.int64).reshape(-1, 3)
         left = holder._classes_rows(leases[:, 0])
         # One peer round trip per batch: for each distinct right class,
         # the rows the batch's leases touch (the first max-take of them).

@@ -23,9 +23,10 @@ Boundary artifacts and their encodings:
 - *handles* are ``[class_id, offset]`` integer pairs (the final
   ``resolve`` step), each holder's distinct handles in one list;
 - *budget leases* are ``[left class_id, right class_id, take]`` integer
-  triples, and a lease's result is its matching ``[left_offset,
-  right_offset]`` pairs in row-major order — validated against the
-  lease's take and its classes' published sizes;
+  triples, the rows of the querying party's ``(n, 3)`` lease array, and a
+  lease's result is its matching ``[left_offset, right_offset]`` pairs in
+  row-major order — validated against the lease's take and its classes'
+  published sizes;
 - *holder-link fetches* name ``[class_id, count]`` pairs and come back as
   the first ``min(count, class size)`` record projections of each class;
 - *Paillier ciphertexts* are hex strings (big-int safe at any key size)
@@ -57,7 +58,7 @@ from repro.data.vgh import Interval
 from repro.errors import WireError
 from repro.linkage.columns import OFFSET_DTYPE
 from repro.linkage.distances import MatchRule
-from repro.protocol import Lease, PublishedClass, PublishedView
+from repro.protocol import PublishedClass, PublishedView
 
 #: Protocol identifier sent in every handshake.
 PROTOCOL_NAME = "repro.net"
@@ -304,17 +305,13 @@ def decode_indices(obj, what: str) -> np.ndarray:
     return array
 
 
-def encode_leases(leases) -> list:
-    """Encode a batch of budget leases."""
-    return [[lease[0], lease[1], lease[2]] for lease in leases]
-
-
-def decode_leases(obj) -> list[Lease]:
-    """Decode and validate a batch of budget leases."""
+def decode_leases(obj) -> np.ndarray:
+    """Decode and validate a batch of budget leases as an ``(n, 3)``
+    ``int64`` array of ``[left class_id, right class_id, take]`` rows."""
     leases = decode_int_rows(obj, "leases", 3)
     if (leases[:, 2] < 1).any():
         _fail("lease take must be >= 1")
-    return [Lease(*lease) for lease in leases.tolist()]
+    return leases
 
 
 def encode_lease_matches(matches) -> list:
@@ -323,28 +320,28 @@ def encode_lease_matches(matches) -> list:
     return [offsets.tolist() for offsets in matches]
 
 
-def decode_lease_matches(obj, leases, shapes) -> list[np.ndarray]:
-    """Decode per-lease matches, checking each against its lease.
+def decode_lease_matches(obj, takes: np.ndarray, shapes) -> list[np.ndarray]:
+    """Decode per-lease matches, checking each against its lease's take.
 
     Each lease's matches come back as an ``(m, 2)``
     :data:`~repro.linkage.columns.OFFSET_DTYPE` array, as
     :meth:`repro.protocol.SMCBridge.compare_many` returns them.
 
-    *shapes* holds ``(left class size, right class size)`` per lease, as
-    published. Every offset must fall inside its classes and among the
-    lease's first ``take`` pairs, and a lease's offsets must be strictly
-    increasing in row-major order (so there are never more than ``take``).
+    *takes* holds each lease's take and *shapes* its ``(left class size,
+    right class size)``, as published. Every offset must fall inside its
+    classes and among the lease's first ``take`` pairs, and a lease's
+    offsets must be strictly increasing in row-major order (so there are
+    never more than ``take``).
     The whole batch is decoded and checked as one array.
     """
     results = _expect_list(obj, "lease matches")
-    if len(results) != len(leases):
-        _fail(f"{len(results)} lease results for {len(leases)} leases")
+    if len(results) != len(takes):
+        _fail(f"{len(results)} lease results for {len(takes)} leases")
     if not results:
         return []
     if not set(map(type, results)) <= {list}:
         _fail("every lease result must be an array")
     counts = np.fromiter(map(len, results), dtype=np.int64, count=len(results))
-    takes = np.array([lease.take for lease in leases], dtype=np.int64)
     over = np.flatnonzero(counts > takes)
     if len(over):
         _fail(f"{counts[over[0]]} matches for a lease of take {takes[over[0]]}")

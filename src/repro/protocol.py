@@ -17,9 +17,9 @@ module makes the boundary explicit:
 - :class:`QueryingParty` sees two published views and a
   :class:`SMCBridge`; it drives blocking, selection and the SMC step
   without ever holding a raw record. The SMC work it hands the bridge is
-  a list of budget leases, :class:`Lease` ``(left class_id, right
-  class_id, take)``: compare the first ``take`` record pairs of that class
-  pair in row-major order;
+  budget leases, one ``(n, 3)`` ``int64`` array of ``[left class_id, right
+  class_id, take]`` rows: compare the first ``take`` record pairs of each
+  class pair in row-major order;
 - :class:`SMCBridge` stands for the cryptographic protocol execution: it
   runs each lease over the holders' columnar records privately and
   returns only the matching ``(left_offset, right_offset)`` positions to
@@ -32,7 +32,8 @@ one ``(m, 2, 2)`` :data:`~repro.linkage.columns.OFFSET_DTYPE` array
 indexed ``[match, side, (class_id, offset)]`` from :func:`link_unknown`
 to :class:`ProtocolOutcome`; each holder resolves its own side,
 ``handles[:, side]``, back to record indices locally
-(:meth:`DataHolder.resolve`).
+(:meth:`DataHolder.resolve`). Class pairs are ``(n, 2)`` ``int64`` arrays of
+``(left class_id, right class_id)`` rows.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +51,13 @@ from repro.data.schema import Relation
 from repro.errors import ConfigurationError, ProtocolError
 from repro.linkage.blocking import block
 from repro.linkage.codes import CodeTables
-from repro.linkage.columns import OFFSET_DTYPE, LeaseBatch, RecordColumns, plan_leases
+from repro.linkage.columns import (
+    OFFSET_DTYPE,
+    LeaseBatch,
+    RecordColumns,
+    cross_offsets,
+    plan_leases,
+)
 from repro.linkage.distances import MatchRule
 from repro.linkage.heuristics import MinAvgFirst, SelectionHeuristic
 from repro.linkage.strategies import (
@@ -60,20 +67,6 @@ from repro.linkage.strategies import (
     check_selection,
 )
 from repro.obs import NOOP_TELEMETRY, Telemetry
-
-
-class Lease(NamedTuple):
-    """One budget lease: compare the first *take* pairs of a class pair.
-
-    Record pairs of the class pair ``(left_class, right_class)`` are taken
-    in row-major order: left offset ``take // right size`` is the last
-    row touched, and only the first ``min(take, right size)`` right
-    records are ever read.
-    """
-
-    left_class: int
-    right_class: int
-    take: int
 
 
 @dataclass(frozen=True)
@@ -97,6 +90,29 @@ class PublishedView:
     def record_count(self) -> int:
         """Total records behind the view."""
         return sum(published.size for published in self.classes)
+
+    def class_sizes(self, class_ids) -> np.ndarray:
+        """The published size of each of *class_ids*, as ``int64``; an id
+        the view lacks raises :class:`ProtocolError` naming the first."""
+        ids = np.asarray(class_ids, dtype=np.int64)
+        known, sizes = self._sizes_by_id
+        at = np.searchsorted(known, ids)
+        found = at < len(known)
+        found[found] = known[at[found]] == ids[found]
+        if not found.all():
+            missing = ids[found.argmin()]
+            raise ProtocolError(f"{self.holder!r} publishes no class {missing}")
+        return sizes[at]
+
+    @cached_property
+    def _sizes_by_id(self) -> tuple[np.ndarray, np.ndarray]:
+        """The class ids, ascending, and their sizes (built on first use)."""
+        ids, sizes = np.array(
+            [(published.class_id, published.size) for published in self.classes],
+            dtype=np.int64,
+        ).reshape(-1, 2).T
+        order = np.argsort(ids)
+        return ids[order], sizes[order]
 
 
 class DataHolder:
@@ -255,8 +271,10 @@ class SMCBridge:
         self._right = right
         self.oracle: SMCOracle = oracle_factory(rule, left.schema)
 
-    def compare_many(self, leases: Sequence[Lease]) -> list[np.ndarray]:
-        """Run *leases*; per lease, its matching offsets in row-major order.
+    def compare_many(self, leases: np.ndarray) -> list[np.ndarray]:
+        """Run *leases*, an ``(n, 3)`` ``int64`` array of ``[left class_id,
+        right class_id, take]`` rows; per lease, its matching offsets in
+        row-major order.
 
         Each result is an ``(m, 2)``
         :data:`~repro.linkage.columns.OFFSET_DTYPE` array of the
@@ -267,7 +285,6 @@ class SMCBridge:
         ``1..`` the class pair's size raises :class:`ProtocolError` before
         any pair is compared.
         """
-        leases = np.array(leases, dtype=np.int64).reshape(-1, 3)
         batch = LeaseBatch(
             *self._left._classes_rows(leases[:, 0]),
             *self._right._classes_rows(leases[:, 1]),
@@ -291,8 +308,11 @@ class ProtocolOutcome:
     :data:`~repro.linkage.columns.OFFSET_DTYPE` array indexed ``[match,
     side, (class_id, offset)]``, lease by lease in consumption order and
     row-major within a lease; a holder resolves its side with
-    ``holder.resolve(matched_handles[:, side])``. The ``repr`` prints every
-    field and every handle, and ``==`` compares the ``repr``.
+    ``holder.resolve(matched_handles[:, side])``. ``matched_class_pairs``
+    (blocking-M, in blocking order) and ``claimed_class_pairs`` (in
+    leftover order) are ``(n, 2)`` ``int64`` arrays of ``(left class_id,
+    right class_id)`` rows. The ``repr`` prints every field and every row
+    of every array, and ``==`` compares the ``repr``.
     """
 
     total_pairs: int
@@ -301,9 +321,11 @@ class ProtocolOutcome:
     unknown_pairs: int
     smc_invocations: int
     matched_handles: np.ndarray
-    matched_class_pairs: list[tuple[int, int]]
+    matched_class_pairs: np.ndarray
     leftover_pairs: int = 0
-    claimed_class_pairs: list[tuple[int, int]] = field(default_factory=list)
+    claimed_class_pairs: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 2), dtype=np.int64)
+    )
 
     @property
     def blocking_efficiency(self) -> float:
@@ -314,7 +336,7 @@ class ProtocolOutcome:
         return decided / self.total_pairs
 
     @property
-    def reported_match_pairs(self) -> int:
+    def verified_match_pairs(self) -> int:
         """Verified pairs: blocked-match cross products plus SMC hits."""
         return self.blocked_match_pairs + len(self.matched_handles)
 
@@ -324,20 +346,25 @@ class ProtocolOutcome:
         return repr(self) == repr(other)
 
     def __repr__(self) -> str:
-        # numpy's repr elides arrays of over 1,000 elements, and one nested
-        # list of every handle takes ~300 bytes a match: 256 rows at a time.
-        handles = self.matched_handles
-        rows = ", ".join(
-            repr(handles[at : at + 256].tolist())[1:-1]
-            for at in range(0, len(handles), 256)
-        )
         body = ", ".join(
-            f"{item.name}=[{rows}]"
-            if item.name == "matched_handles"
-            else f"{item.name}={getattr(self, item.name)!r}"
+            f"{item.name}={_full_repr(getattr(self, item.name))}"
             for item in fields(self)
         )
         return f"{type(self).__name__}({body})"
+
+
+def _full_repr(value) -> str:
+    """``repr`` of *value*, an array written as the nested list of all its
+    rows."""
+    if not isinstance(value, np.ndarray):
+        return repr(value)
+    # numpy's repr elides arrays of over 1,000 elements, and one nested
+    # list of every row takes ~300 bytes a handle: 256 rows at a time.
+    rows = ", ".join(
+        repr(value[at : at + 256].tolist())[1:-1]
+        for at in range(0, len(value), 256)
+    )
+    return f"[{rows}]"
 
 
 def verified_match_handles(
@@ -354,20 +381,14 @@ def verified_match_handles(
     artifact the networked querying party ships to the holders at the
     end of a remote run.
     """
-    left_sizes = {c.class_id: c.size for c in left_view.classes}
-    right_sizes = {c.class_id: c.size for c in right_view.classes}
-    pairs = np.array(outcome.matched_class_pairs, dtype=np.int64).reshape(-1, 2)
-    sizes = np.array(
-        [(left_sizes[left], right_sizes[right]) for left, right in pairs.tolist()],
-        dtype=np.int64,
-    ).reshape(-1, 2)
-    counts = sizes.prod(axis=1)
-    within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    offsets = np.divmod(within, np.repeat(sizes[:, 1], counts))
-    blocked = np.stack(
-        (np.repeat(pairs, counts, axis=0), np.stack(offsets, axis=1)), axis=2
-    )
-    return np.concatenate((blocked.astype(OFFSET_DTYPE), outcome.matched_handles))
+    pairs = outcome.matched_class_pairs
+    left_sizes = left_view.class_sizes(pairs[:, 0])
+    right_sizes = right_view.class_sizes(pairs[:, 1])
+    offsets = cross_offsets(left_sizes, right_sizes)
+    blocked = np.empty((len(offsets), 2, 2), dtype=OFFSET_DTYPE)
+    blocked[:, :, 0] = np.repeat(pairs, left_sizes * right_sizes, axis=0)
+    blocked[:, :, 1] = offsets
+    return np.concatenate((blocked, outcome.matched_handles))
 
 
 @dataclass
@@ -375,8 +396,8 @@ class UnknownLink:
     """What :func:`link_unknown` decided about the unknown class pairs.
 
     ``order`` lists row indices of the unknown positions in consumption
-    order. Its first ``len(leases)`` entries were leased; ``sample`` holds
-    the same leased class positions with each lease's compared and
+    order. Its first ``len(sample.pairs)`` entries were leased; ``sample``
+    holds those leased class positions with each lease's compared and
     matched counts, and ``handles`` the matches as one ``(m, 2, 2)``
     :data:`~repro.linkage.columns.OFFSET_DTYPE` array indexed ``[match,
     side, (class_id, offset)]``, lease by lease, each lease's rows in the
@@ -388,7 +409,6 @@ class UnknownLink:
     """
 
     order: np.ndarray
-    leases: list[Lease]
     handles: np.ndarray
     sample: SMCSample
     leftover_start: int
@@ -411,7 +431,9 @@ def link_unknown(
     that blocking left undecided. The heuristic orders them; the allowance
     becomes greedy prefix budget leases over that order
     (:func:`~repro.linkage.columns.plan_leases`), which go to *bridge* in
-    one ``compare_many`` call; the strategy then labels the leftovers.
+    one ``compare_many`` call as an ``(n, 3)`` ``int64`` array of ``[left
+    class_id, right class_id, take]`` rows; the strategy then labels the
+    leftovers.
     Record pairs inside a class pair are indistinguishable from the
     anonymized views, so a lease compares the first ``take`` of them in
     row-major order and the remainder becomes leftovers.
@@ -426,10 +448,10 @@ def link_unknown(
     sizes = tables.left_sizes[ordered[:, 0]] * tables.right_sizes[ordered[:, 1]]
     takes, granted = plan_leases(sizes, allowance_pairs)
     leased = ordered[: len(takes)]
-    ids = np.stack((tables.left_ids[leased[:, 0]], tables.right_ids[leased[:, 1]]), 1)
+    ids = tables.id_pairs(leased)
     if ids.size and ids.max() > np.iinfo(OFFSET_DTYPE).max:
         raise ProtocolError(f"class id {ids.max()} does not fit an int32 handle")
-    leases = [Lease(*pair, take) for pair, take in zip(ids.tolist(), takes)]
+    leases = np.column_stack((ids, np.array(takes, dtype=np.int64)))
     with telemetry.span("linkage.smc", leases=len(leases)) as smc_span:
         billed = bridge.invocations
         offsets = bridge.compare_many(leases)
@@ -470,9 +492,7 @@ def link_unknown(
     if takes and takes[-1] < sizes[leftover_start - 1]:
         leftover_start -= 1  # the partially leased class pair
     leftovers = order[leftover_start:]
-    sample = SMCSample(
-        leased, np.array(takes, dtype=np.int64), np.array(matches, dtype=np.int64)
-    )
+    sample = SMCSample(leased, leases[:, 2], np.array(matches, dtype=np.int64))
     with telemetry.span("linkage.leftovers", strategy=strategy.name):
         claimed = leftovers[
             strategy.claim_matches(
@@ -481,9 +501,7 @@ def link_unknown(
         ]
     telemetry.counter("leftovers.class_pairs").add(len(leftovers))
     telemetry.counter("leftovers.claimed_class_pairs").add(len(claimed))
-    return UnknownLink(
-        order, leases, handles, sample, leftover_start, claimed, billed
-    )
+    return UnknownLink(order, handles, sample, leftover_start, claimed, billed)
 
 
 class QueryingParty:
@@ -555,17 +573,7 @@ class QueryingParty:
             unknown_pairs=blocking.unknown_pairs,
             smc_invocations=link.invocations,
             matched_handles=link.handles,
-            matched_class_pairs=_id_pairs(tables, blocking.matched),
+            matched_class_pairs=tables.id_pairs(blocking.matched),
             leftover_pairs=blocking.unknown_pairs - link.invocations,
-            claimed_class_pairs=_id_pairs(tables, unknown[link.claimed]),
+            claimed_class_pairs=tables.id_pairs(unknown[link.claimed]),
         )
-
-
-def _id_pairs(tables: CodeTables, positions: np.ndarray) -> list[tuple[int, int]]:
-    """``(left class_id, right class_id)`` of each class-position row."""
-    return list(
-        zip(
-            tables.left_ids[positions[:, 0]].tolist(),
-            tables.right_ids[positions[:, 1]].tolist(),
-        )
-    )

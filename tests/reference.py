@@ -32,7 +32,6 @@ from repro.errors import AnonymizationError
 from repro.linkage.columns import plan_leases
 from repro.linkage.expected import expected_distance_vector
 from repro.linkage.slack import Label, slack_decision
-from repro.protocol import Lease
 
 
 @dataclass
@@ -49,7 +48,8 @@ class ReferenceLink:
     ordered_unknown: list[tuple[float, int, int, int]] = field(
         default_factory=list
     )
-    leases: list[Lease] = field(default_factory=list)
+    #: ``(left class_id, right class_id, take)`` budget leases, in order.
+    leases: list[tuple[int, int, int]] = field(default_factory=list)
 
 
 def reference_link(rule, heuristic, left_view, right_view, allowance) -> ReferenceLink:
@@ -90,7 +90,7 @@ def reference_link(rule, heuristic, left_view, right_view, allowance) -> Referen
         math.floor(allowance * total_pairs),
     )
     link.leases = [
-        Lease(left_id, right_id, take)
+        (left_id, right_id, take)
         for (_, _, left_id, right_id), take in zip(unknown, takes)
     ]
     return link

@@ -33,10 +33,10 @@ class TestProtocolOutcomeEdges:
             unknown_pairs=0,
             smc_invocations=0,
             matched_handles=np.empty((0, 2, 2), dtype=np.int32),
-            matched_class_pairs=[],
+            matched_class_pairs=np.empty((0, 2), dtype=np.int64),
         )
         assert outcome.blocking_efficiency == 1.0
-        assert outcome.reported_match_pairs == 0
+        assert outcome.verified_match_pairs == 0
 
 
 class TestPrefixSlackDefaults:

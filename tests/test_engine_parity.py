@@ -244,9 +244,9 @@ class TestEndToEndParity:
                 _positions(result.sample.pairs), result.sample.compared.tolist()
             )
         ] == [tuple(lease) for lease in reference.leases]
-        assert result.smc_invocations == sum(lease.take for lease in reference.leases)
+        assert result.smc_invocations == sum(take for *_, take in reference.leases)
         leased = len(reference.leases)
-        partial = reference.leases[-1].take < reference.ordered_unknown[leased - 1][1]
+        partial = reference.leases[-1][2] < reference.ordered_unknown[leased - 1][1]
         expected_leftovers = [
             (left_id, right_id)
             for _, _, left_id, right_id in reference.ordered_unknown[

@@ -4,9 +4,10 @@
 ``QueryingParty`` over published views with an ``SMCBridge``, and the
 loopback ``QueryingPartyClient`` against two ``DataHolderServer``s must
 agree on the verified matches themselves — not just their count — on the
-leftover record pairs, the SMC invocations spent and the record pairs the
-leftover strategy claims, for every selection heuristic and leftover
-strategy. Each entry point gets fresh heuristic and strategy instances,
+leftover record pairs, the SMC invocations spent, the verified pair count
+and the record pairs the leftover strategy claims, for every selection
+heuristic and leftover strategy. At k = 1 blocking matches class pairs,
+so each entry point's expansion of blocked-M class pairs is compared too. Each entry point gets fresh heuristic and strategy instances,
 so a seeded ``RandomSelection`` shuffles the same way in all three.
 """
 
@@ -69,13 +70,15 @@ def runtime():
 
 def claimed_records(alice, bob, left_view, right_view, class_pairs):
     """Every record pair of the claimed class pairs, as the holders resolve it."""
-    left_sizes = {c.class_id: c.size for c in left_view.classes}
-    right_sizes = {c.class_id: c.size for c in right_view.classes}
+    left_sizes = left_view.class_sizes(class_pairs[:, 0]).tolist()
+    right_sizes = right_view.class_sizes(class_pairs[:, 1]).tolist()
     return {
         (left, right)
-        for left_id, right_id in class_pairs
-        for left in alice.resolve([(left_id, o) for o in range(left_sizes[left_id])])
-        for right in bob.resolve([(right_id, o) for o in range(right_sizes[right_id])])
+        for (left_id, right_id), left_size, right_size in zip(
+            class_pairs.tolist(), left_sizes, right_sizes
+        )
+        for left in alice.resolve([(left_id, o) for o in range(left_size)])
+        for right in bob.resolve([(right_id, o) for o in range(right_size)])
     }
 
 
@@ -88,6 +91,7 @@ def publish(pair, k):
 
 
 def library_run(pair, rule, k, allowance, heuristic, strategy):
+    """The library's result and what the other entry points must match."""
     anonymizer = MaxEntropyTDS(CATALOG)
     config = LinkageConfig(
         rule, allowance=allowance, heuristic=heuristic, strategy=strategy
@@ -95,10 +99,11 @@ def library_run(pair, rule, k, allowance, heuristic, strategy):
     left = anonymizer.anonymize(pair.left, QIDS, k)
     right = anonymizer.anonymize(pair.right, QIDS, k)
     result = HybridLinkage(config).run(left, right)
-    return (
+    return result, (
         set(result.iter_verified_matches()),
         result.leftover_pairs,
         result.smc_invocations,
+        result.verified_match_pairs,
         {
             (left_index, right_index)
             for i, j in result.claimed.tolist()
@@ -123,7 +128,13 @@ def protocol_run(pair, rule, k, allowance, heuristic, strategy):
     claimed = claimed_records(
         alice, bob, left_view, right_view, outcome.claimed_class_pairs
     )
-    return matches, outcome.leftover_pairs, outcome.smc_invocations, claimed
+    return (
+        matches,
+        outcome.leftover_pairs,
+        outcome.smc_invocations,
+        outcome.verified_match_pairs,
+        claimed,
+    )
 
 
 def network_run(runtime, pair, rule, k, allowance, heuristic, strategy):
@@ -159,6 +170,7 @@ def network_run(runtime, pair, rule, k, allowance, heuristic, strategy):
         set(result.verified_matches),
         result.outcome.leftover_pairs,
         result.outcome.smc_invocations,
+        result.outcome.verified_match_pairs,
         claimed,
     )
 
@@ -178,12 +190,29 @@ def network_run(runtime, pair, rule, k, allowance, heuristic, strategy):
 def test_entry_points_return_the_same_match_set(
     runtime, heuristic, strategy, seed, k, theta, allowance
 ):
+    assert_entry_points_agree(runtime, heuristic, strategy, seed, k, theta, allowance)
+
+
+def assert_entry_points_agree(runtime, heuristic, strategy, seed, k, theta, allowance):
+    """Run all three entry points; return the library's result."""
     pair = build_linkage_pair(generate_adult(400, seed=seed), seed=seed + 1)
     rule = MatchRule(MatchAttribute(name, CATALOG[name], theta) for name in QIDS)
 
     def make():
         return HEURISTICS[heuristic](), STRATEGIES[strategy]()
 
-    library = library_run(pair, rule, k, allowance, *make())
+    result, library = library_run(pair, rule, k, allowance, *make())
     assert protocol_run(pair, rule, k, allowance, *make()) == library
     assert network_run(runtime, pair, rule, k, allowance, *make()) == library
+    return result
+
+
+@pytest.mark.parametrize("heuristic, strategy", CASES)
+@pytest.mark.parametrize("seed", [3, 40_000])
+def test_entry_points_agree_on_blocked_matches(runtime, heuristic, strategy, seed):
+    """At k = 1 blocking matches class pairs, whose record pairs each
+    entry point expands on its own."""
+    result = assert_entry_points_agree(
+        runtime, heuristic, strategy, seed, k=1, theta=0.2, allowance=0.01
+    )
+    assert len(result.blocking.matched) > 0

@@ -1,5 +1,7 @@
 """End-to-end tests of the hybrid linkage orchestrator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.anonymize import MaxEntropyTDS, identity_generalization
 from repro.data.hierarchies import ADULT_QID_ORDER
 from repro.errors import ConfigurationError
 from repro.linkage.columns import RecordColumns
+from repro.linkage import hybrid
 from repro.linkage.ground_truth import GroundTruth
 from repro.linkage.heuristics import RandomSelection, heuristic_by_name
 from repro.linkage.hybrid import HybridLinkage, LinkageConfig
@@ -410,6 +413,40 @@ class TestResultReporting:
             result.smc_matched_pairs = []
         verified = list(result.iter_verified_matches())
         assert verified[len(verified) - len(matches) :] == result.smc_matched_pairs
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 4096])
+    def test_verified_matches_expand_blocked_class_pairs_in_order(
+        self, monkeypatch, chunk_rows, adult_rule, generalized_pair
+    ):
+        """Blocked-M class pairs yield their cross products in blocking
+        order, row-major within each, then the SMC matches; chunks of any
+        size cut across rows and class pairs without changing the pairs."""
+        left, right = generalized_pair
+        result = HybridLinkage(LinkageConfig(adult_rule, allowance=0.02)).run(
+            left, right
+        )
+        # Scrambled class pairs, a repeat among them, stand in for blocking's.
+        rng = np.random.default_rng(5)
+        matched = np.stack(
+            (
+                rng.integers(len(left.classes), size=40),
+                rng.integers(len(right.classes), size=40),
+            ),
+            axis=1,
+        )
+        matched[-1] = matched[0]
+        result = replace(result, blocking=replace(result.blocking, matched=matched))
+        expected = [
+            (left_index, right_index)
+            for i, j in matched.tolist()
+            for left_index in left.classes[i].indices
+            for right_index in right.classes[j].indices
+        ]
+        assert len(expected) > 4096
+        monkeypatch.setattr(hybrid, "_CHUNK_ROWS", chunk_rows)
+        assert list(result.iter_verified_matches()) == (
+            expected + result.smc_matched_pairs
+        )
 
 
 class TestColumnCache:

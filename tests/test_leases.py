@@ -25,7 +25,7 @@ from repro.data.hierarchies import ADULT_QID_ORDER
 from repro.data.schema import Relation
 from repro.errors import ProtocolError
 from repro.linkage.columns import BlockLease, RecordColumns
-from repro.protocol import DataHolder, Lease, SMCBridge
+from repro.protocol import DataHolder, SMCBridge
 
 
 def scalar_matches(rule, schema, left_records, right_records, take):
@@ -656,29 +656,29 @@ class TestBridgeParity:
         ):
             size = left_class.size * right_class.size
             for take in sorted({1, right_class.size - 1 or 1, size // 2 + 1, size}):
-                leases.append(Lease(left_class.class_id, right_class.class_id, take))
+                leases.append((left_class.class_id, right_class.class_id, take))
         bridge = SMCBridge(alice, bob, adult_rule)
-        results = bridge.compare_many(leases)
+        results = bridge.compare_many(np.array(leases, dtype=np.int64))
         assert len(results) == len(leases)
         schema = adult_pair.left.schema
-        for lease, offsets in zip(leases, results):
-            left_size = left_view.classes[lease.left_class].size
-            right_size = right_view.classes[lease.right_class].size
+        for (left_class, right_class, take), offsets in zip(leases, results):
+            left_size = left_view.classes[left_class].size
+            right_size = right_view.classes[right_class].size
             left_records = [
                 adult_pair.left[index]
                 for index in alice.resolve(
-                    [(lease.left_class, offset) for offset in range(left_size)]
+                    [(left_class, offset) for offset in range(left_size)]
                 )
             ]
             right_records = [
                 adult_pair.right[index]
                 for index in bob.resolve(
-                    [(lease.right_class, offset) for offset in range(right_size)]
+                    [(right_class, offset) for offset in range(right_size)]
                 )
             ]
             assert offsets_of(offsets) == scalar_matches(
-                adult_rule, schema, left_records, right_records, lease.take
+                adult_rule, schema, left_records, right_records, take
             )
-        takes = sum(lease.take for lease in leases)
+        takes = sum(take for *_, take in leases)
         assert bridge.invocations == takes
         assert bridge.oracle.attribute_comparisons == takes * billable(adult_rule)

@@ -20,13 +20,14 @@ import json
 import socket
 import struct
 
+import numpy as np
 import pytest
 
 from repro.anonymize import MaxEntropyTDS
 from repro.data.adult import generate_adult
 from repro.data.hierarchies import ADULT_QID_ORDER, adult_hierarchies
 from repro.data.partition import build_linkage_pair
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.linkage.distances import MatchAttribute, MatchRule
 from repro.net import (
     DataHolderServer,
@@ -35,8 +36,10 @@ from repro.net import (
     NetRuntime,
     QueryingPartyClient,
     RemoteParty,
+    RemoteSMCBridge,
     parse_remote_spec,
 )
+from repro.net.client import PartyLink
 from repro.net.wire import (
     FRAME_HEADER,
     PROTOCOL_VERSION,
@@ -518,6 +521,44 @@ class TestLiveServerStrictness:
         [_, reply] = raw_exchange(alice, [encode_frame(request)])
         assert reply["code"] == "bad_frame"
         assert "peer port" in reply["message"]
+
+
+class TestRemoteBridge:
+    def test_lease_naming_an_unpublished_class_sends_no_frame(
+        self, runtime, net_fixture, live_servers
+    ):
+        """Every lease is checked against the published views before the
+        first batch goes out: an unknown class is refused off the wire."""
+        alice, bob = live_servers
+        catalog, rule, pair = net_fixture
+        left_view, right_view = (
+            DataHolder(name, relation).publish(MaxEntropyTDS(catalog), QIDS, k=K)
+            for name, relation in (("alice", pair.left), ("bob", pair.right))
+        )
+        telemetry = Telemetry()
+        link = PartyLink(
+            RemoteParty("alice", alice.host, alice.port), runtime, telemetry=telemetry
+        ).connect()
+        try:
+            bridge = RemoteSMCBridge(
+                link,
+                RemoteParty("bob", bob.host, bob.port),
+                rule,
+                left_view,
+                right_view,
+                batch_size=1,
+            ).open()
+            sent = telemetry.counter("net.frames_sent").value
+            missing = len(right_view.classes)
+            with pytest.raises(
+                ProtocolError, match=rf"^'bob' publishes no class {missing}$"
+            ):
+                bridge.compare_many(np.array([[0, 0, 1], [0, missing, 1]]))
+            assert telemetry.counter("net.frames_sent").value == sent
+            assert bridge.invocations == 0
+            bridge.close()
+        finally:
+            link.close()
 
 
 class TestRemoteSpec:

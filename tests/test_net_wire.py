@@ -42,7 +42,6 @@ from repro.net.wire import (
     encode_frame,
     encode_class_counts,
     encode_lease_matches,
-    encode_leases,
     encode_public_key,
     encode_record_values,
     encode_rule,
@@ -54,7 +53,7 @@ from repro.net.wire import (
     validate_welcome,
     welcome_message,
 )
-from repro.protocol import Lease, PublishedClass, PublishedView
+from repro.protocol import PublishedClass, PublishedView
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -99,8 +98,7 @@ def views(draw):
     )
 
 
-leases = st.builds(
-    Lease,
+leases = st.tuples(
     st.integers(min_value=0, max_value=10**6),
     st.integers(min_value=0, max_value=10**6),
     st.integers(min_value=1, max_value=10**9),
@@ -109,9 +107,9 @@ leases = st.builds(
 
 @st.composite
 def lease_results(draw):
-    """Leases with their class sizes and valid row-major matched offsets."""
+    """Lease takes with their class sizes and valid row-major matched offsets."""
     count = draw(st.integers(min_value=0, max_value=6))
-    batch, shapes, matches = [], [], []
+    takes, shapes, matches = [], [], []
     for _ in range(count):
         left_size = draw(st.integers(min_value=1, max_value=40))
         right_size = draw(st.integers(min_value=1, max_value=40))
@@ -123,11 +121,10 @@ def lease_results(draw):
                 )
             )
         )
-        ids = draw(st.tuples(st.integers(0, 50), st.integers(0, 50)))
-        batch.append(Lease(*ids, take))
+        takes.append(take)
         shapes.append((left_size, right_size))
         matches.append([divmod(position, right_size) for position in positions])
-    return batch, shapes, matches
+    return np.array(takes, dtype=np.int64), shapes, matches
 
 
 @st.composite
@@ -166,20 +163,26 @@ class TestRoundTrips:
 
     @given(st.lists(leases, max_size=20))
     def test_lease_batch_round_trip(self, batch):
-        decoded = decode_leases(json.loads(json.dumps(encode_leases(batch))))
-        assert decoded == batch
-        assert all(isinstance(lease, Lease) for lease in decoded)
+        rows = [list(lease) for lease in batch]
+        # The frame carries one [left, right, take] list of ints per lease,
+        # the rows of the querying party's lease array.
+        wired = json.dumps(np.array(rows, dtype=np.int64).reshape(-1, 3).tolist())
+        assert wired == json.dumps(rows)
+        decoded = decode_leases(json.loads(wired))
+        assert decoded.dtype == np.int64
+        assert decoded.shape == (len(rows), 3)
+        assert decoded.tolist() == rows
 
     @given(lease_results())
     def test_lease_matches_round_trip(self, case):
-        batch, shapes, matches = case
+        takes, shapes, matches = case
         arrays = [
             np.array(offsets, dtype=np.int32).reshape(-1, 2) for offsets in matches
         ]
         wired = json.loads(json.dumps(encode_lease_matches(arrays)))
         # One [left, right] list per match on the wire.
         assert wired == [[list(pair) for pair in offsets] for offsets in matches]
-        decoded = decode_lease_matches(wired, batch, shapes)
+        decoded = decode_lease_matches(wired, takes, shapes)
         assert [offsets.dtype for offsets in decoded] == [np.int32] * len(matches)
         assert [offsets.shape for offsets in decoded] == [
             (len(offsets), 2) for offsets in matches
@@ -389,12 +392,12 @@ class TestLeaseRejection:
 
     # One lease of take 7 over a 3 x 4 class pair: row-major positions
     # 0..6, i.e. offsets (0, 0)..(1, 2).
-    LEASE = [Lease(2, 5, 7)]
+    TAKES = np.array([7])
     SHAPE = [(3, 4)]
 
     def test_good_matches(self):
         matches = [[[0, 0], [0, 3], [1, 2]]]
-        [decoded] = decode_lease_matches(matches, self.LEASE, self.SHAPE)
+        [decoded] = decode_lease_matches(matches, self.TAKES, self.SHAPE)
         assert decoded.dtype == np.int32
         assert decoded.tolist() == matches[0]
 
@@ -418,12 +421,13 @@ class TestLeaseRejection:
     )
     def test_malformed_matches(self, matches):
         with pytest.raises(WireError):
-            decode_lease_matches(matches, self.LEASE, self.SHAPE)
+            decode_lease_matches(matches, self.TAKES, self.SHAPE)
 
     def test_more_offsets_than_take(self):
-        lease = [Lease(0, 0, 2)]
         with pytest.raises(WireError, match="matches for a lease of take 2"):
-            decode_lease_matches([[[0, 0], [0, 1], [0, 2]]], lease, [(1, 3)])
+            decode_lease_matches(
+                [[[0, 0], [0, 1], [0, 2]]], np.array([2]), [(1, 3)]
+            )
 
 
 class TestHolderFetchRejection:
@@ -573,14 +577,18 @@ class TestHandshake:
 class TestRequestValidation:
     def test_known_requests(self):
         assert validate_request({"type": "get_view"}) == ("get_view", {})
-        assert validate_request(
+        kind, fields = validate_request(
             {
                 "type": "smc_batch",
                 "session": "s",
                 "seq": 1,
                 "leases": [[0, 1, 12]],
             }
-        ) == ("smc_batch", {"session": "s", "seq": 1, "leases": [Lease(0, 1, 12)]})
+        )
+        leases = fields.pop("leases")
+        assert (kind, fields) == ("smc_batch", {"session": "s", "seq": 1})
+        assert leases.dtype == np.int64
+        assert leases.tolist() == [[0, 1, 12]]
 
     def test_fields_are_decoded_once(self):
         kind, fields = validate_request(

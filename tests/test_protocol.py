@@ -15,7 +15,6 @@ from dataclasses import replace
 
 from repro.protocol import (
     DataHolder,
-    Lease,
     QueryingParty,
     SMCBridge,
     verified_match_handles,
@@ -62,7 +61,7 @@ class TestBridge:
         first_right = right_view.classes[0]
         take = first_left.size * first_right.size
         [matched] = bridge.compare_many(
-            [Lease(first_left.class_id, first_right.class_id, take)]
+            np.array([[first_left.class_id, first_right.class_id, take]])
         )
         assert bridge.invocations == take
         offsets = [tuple(row) for row in matched.tolist()]
@@ -90,9 +89,9 @@ class TestBridge:
         alice, bob, left_view, _ = parties
         bridge = SMCBridge(alice, bob, adult_rule)
         with pytest.raises(ProtocolError):
-            bridge.compare_many([Lease(999_999, 0, 1)])
+            bridge.compare_many(np.array([[999_999, 0, 1]]))
         with pytest.raises(ProtocolError):
-            bridge.compare_many([Lease(0, 0, 1), Lease(0, -1, 1)])
+            bridge.compare_many(np.array([[0, 0, 1], [0, -1, 1]]))
         assert bridge.invocations == 0
         with pytest.raises(ProtocolError):
             alice.resolve([(999_999, 0)])
@@ -107,12 +106,12 @@ class TestBridge:
         """The batched class lookup checks every id before any compare."""
         alice, bob, *_ = parties
         bridge = SMCBridge(alice, bob, adult_rule)
-        bad = Lease(class_id, 0, 1) if side == "left" else Lease(0, class_id, 1)
+        bad = [class_id, 0, 1] if side == "left" else [0, class_id, 1]
         holder = "alice" if side == "left" else "bob"
         with pytest.raises(
             ProtocolError, match=rf"^holder '{holder}' has no class {class_id}$"
         ):
-            bridge.compare_many([Lease(0, 0, 1), bad, Lease(0, 0, 1)])
+            bridge.compare_many(np.array([[0, 0, 1], bad, [0, 0, 1]]))
         assert bridge.invocations == 0
 
     def test_take_larger_than_class_pair_rejected(self, parties, adult_rule):
@@ -121,7 +120,7 @@ class TestBridge:
         size = left_view.classes[0].size * right_view.classes[0].size
         for take in (size + 1, 0):
             with pytest.raises(ProtocolError):
-                bridge.compare_many([Lease(0, 0, 1), Lease(0, 0, take)])
+                bridge.compare_many(np.array([[0, 0, 1], [0, 0, take]]))
         assert bridge.invocations == 0
 
     def test_schema_mismatch_rejected(
@@ -167,12 +166,12 @@ class TestHandles:
             left_view, right_view, SMCBridge(alice, bob, adult_rule)
         )
         # Two class pairs stand in for whatever blocking matched.
-        outcome = replace(outcome, matched_class_pairs=[(3, 1), (0, 2)])
+        outcome = replace(outcome, matched_class_pairs=np.array([[3, 1], [0, 2]]))
         handles = verified_match_handles(outcome, left_view, right_view)
         assert handles.dtype == np.int32
         expected = [
             [[left_id, left_offset], [right_id, right_offset]]
-            for left_id, right_id in outcome.matched_class_pairs
+            for left_id, right_id in outcome.matched_class_pairs.tolist()
             for left_offset in range(left_view.classes[left_id].size)
             for right_offset in range(right_view.classes[right_id].size)
         ]
@@ -303,7 +302,7 @@ class TestQueryingParty:
             adult_rule, allowance=0.0, strategy=MaximizeRecall()
         )
         outcome = party.link(left_view, right_view, bridge)
-        assert outcome.claimed_class_pairs
+        assert len(outcome.claimed_class_pairs)
         assert outcome.smc_invocations == 0
 
     def test_rule_attribute_missing_from_view(self, parties, adult_rule):
